@@ -315,7 +315,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "act", parents=[common], help="apply a translation to a homology class"
     )
     p_act.add_argument("surface", help="surface type such as K#2T2, K+S2, or K+K")
-    p_act.add_argument("vector", help="comma-separated lattice coordinates")
+    p_act.add_argument(
+        "vector",
+        help="comma-separated lattice coordinates; when they start with a minus "
+        "sign, put -- before the positionals: act 'K#T2' -- -3,-1,1,0,0 1,0,1,1",
+    )
     p_act.add_argument("klass", metavar="class", help="comma-separated class coordinates")
     p_act.add_argument("--mod2", action="store_true", help="act on mod-2 classes")
     return parser

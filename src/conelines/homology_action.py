@@ -20,7 +20,6 @@ from .intlinalg import Matrix
 from .lattices import SurfaceType, UnsupportedTypeError, build_lattice
 from .mapping_class import (
     ModSElement,
-    is_translation_class,
     split_twist,
     translation_analysis,
     translation_class,
@@ -199,13 +198,6 @@ def obstruction_kappa(surface: SurfaceType, m: tuple[int, ...], k: tuple[int, ..
     if not surface.double_klein and (p, surface.spheres) == (1, 1):
         return 1 if k[0] == 1 else m[0] % 2
     raise UnsupportedTypeError(f"{surface} puts no parity constraint on section classes")
-
-
-def section_realizable(surface: SurfaceType, g: ModSElement) -> bool:
-    """Is the section moved by g isotopic to one cut out by a real line?"""
-    if g.surface != surface:
-        raise ValueError("element lives on a different surface")
-    return is_translation_class(g)
 
 
 @dataclass(frozen=True)

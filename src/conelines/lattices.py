@@ -4,10 +4,10 @@ Each of the eleven topological types of nonsingular real sextic curves on
 the quadric cone carries a negative definite root lattice spanned by
 vanishing cycles of two kinds, oval classes and bridge classes.  This
 module builds those lattices in their fixed geometric bases, enumerates
-their root systems, and evaluates the homology pairings of the two
-surfaces attached to the curve: the degree-one del Pezzo double cover and
-the real rational elliptic surface obtained by blowing up the base point
-of its anticanonical pencil.
+their root systems and norm shells, and evaluates the middle homology
+pairing of the real rational elliptic surface obtained by blowing up the
+base point of the anticanonical pencil of the degree-one del Pezzo double
+cover.
 
 All vectors are plain integer tuples in the fixed basis, so every value in
 this module is hashable and safe to share between threads.
@@ -24,10 +24,6 @@ Vec = tuple[int, ...]
 
 def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vneg(a: Vec) -> Vec:
@@ -224,9 +220,6 @@ class GeometricLattice:
     def basis_vector(self, i: int) -> Vec:
         return unit_vec(self.rank, i)
 
-    def basis_by_name(self, name: str) -> Vec:
-        return unit_vec(self.rank, self.basis_names.index(name))
-
     def oval_number(self, basis_index: int) -> int:
         """1-based oval number of an oval basis position."""
         return self.oval_indices.index(basis_index) + 1
@@ -285,10 +278,6 @@ def set_fault(tag: str | None) -> None:
     if tag is not None and tag not in KNOWN_FAULTS:
         raise ValueError(f"unknown fault tag {tag!r}; known: {KNOWN_FAULTS}")
     _FAULT = tag
-
-
-def current_fault() -> str | None:
-    return _FAULT
 
 
 def build_lattice(sextic: SexticType) -> GeometricLattice:
@@ -465,39 +454,7 @@ def root_pairs(lattice: GeometricLattice) -> tuple[tuple[Vec, Vec], ...]:
 
 
 # ---------------------------------------------------------------------------
-# homology classes of the two ambient surfaces
-
-
-@dataclass(frozen=True)
-class H2ClassY:
-    """Middle homology class of the del Pezzo double cover.
-
-    Coordinates in the splitting by the canonical class (self-pairing +1)
-    and its orthogonal complement, which is the geometric root lattice.
-    """
-
-    canon: int
-    lattice_part: Vec
-
-
-def pairing_y(lattice: GeometricLattice, a: H2ClassY, b: H2ClassY) -> int:
-    return a.canon * b.canon + pair(lattice, a.lattice_part, b.lattice_part)
-
-
-def canonical_class_y(lattice: GeometricLattice) -> H2ClassY:
-    return H2ClassY(1, zero_vec(lattice.rank))
-
-
-def line_class_on_Y(lattice: GeometricLattice, e: Vec) -> H2ClassY:
-    """The class of the line attached to a root: minus canonical minus root.
-
-    Each +/- root pair yields the two lines covering one tritangent of the
-    branch sextic; both classes self-pair to -1 and meet the canonical
-    class in -1.
-    """
-    if not is_root(lattice, e):
-        raise ValueError("line classes on the double cover are indexed by roots")
-    return H2ClassY(-1, vneg(e))
+# homology classes of the elliptic surface
 
 
 @dataclass(frozen=True)

@@ -257,24 +257,6 @@ def mods_delta(surface: SurfaceType) -> ModSElement:
     return out
 
 
-def half_twist_coordinates(
-    g: ModSElement,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Exponents of g over the geometric (unnormalized) half twists."""
-    s = g.surface
-    if s.double_klein or s.handles == 0:
-        raise UnsupportedTypeError(f"{s} has no half-twist generators")
-    p = s.handles
-    n = list(g.fiber_twists)
-    for i in range(p):
-        if g.half_twists[i]:
-            if i < p - 1:
-                n[i + 1] -= 1
-            else:
-                n[0] += 1
-    return (g.half_twists, tuple(n), g.split_twists)
-
-
 def linear_coordinates(g: ModSElement) -> tuple[int, ...]:
     """Coordinates identifying the group with Z^2p x Z/2 (or its small cousins).
 
@@ -365,26 +347,6 @@ def mods_group_structure(surface: SurfaceType) -> GroupInvariants:
     return quotient_invariants(3 * p, rows)
 
 
-_KLEIN_STAR = 0
-KNOWN_KLEIN_STARS = (0, 1)
-
-
-def set_klein_component_image(star: int) -> None:
-    """Choose how the central bridge of the band type maps to the swap/shift pair.
-
-    Both admissible choices give the same kernel, image and realizability
-    answers; the flag exists so tests can assert that invariance.
-    """
-    global _KLEIN_STAR
-    if star not in KNOWN_KLEIN_STARS:
-        raise ValueError(f"unknown choice {star!r}")
-    _KLEIN_STAR = star
-
-
-def current_klein_star() -> int:
-    return _KLEIN_STAR
-
-
 def _pendant_oval(lattice: GeometricLattice, j: int) -> int | None:
     """If basis element j is a bridge attached to exactly one oval, its oval number."""
     if j in lattice.oval_indices:
@@ -405,11 +367,17 @@ def _pendant_oval(lattice: GeometricLattice, j: int) -> int | None:
 
 
 def _basis_image(lattice: GeometricLattice, j: int, star: int) -> ModSElement:
+    """Mapping class of the translation along basis vector j.
+
+    ``star`` chooses how the central bridge of the band type maps to the
+    swap/shift pair: 0 sends it to the swap, 1 to the swap composed with
+    the shift.  Both choices give the same kernel, image and cokernel.
+    """
     surface = lattice.sextic.surface()
     p = surface.handles
     if surface.double_klein:
         # Bridges between the two bands shift; the central one swaps,
-        # possibly composed with a shift (both choices are consistent).
+        # possibly composed with a shift.
         if lattice.basis_names[j] == "B0":
             g = swap_components(surface)
             if star:
@@ -450,7 +418,7 @@ def translation_class(lattice: GeometricLattice, v: Vec) -> ModSElement:
     """
     if len(v) != lattice.rank:
         raise ValueError("vector length differs from lattice rank")
-    images = _basis_images(lattice, _KLEIN_STAR)
+    images = _basis_images(lattice, 0)
     surface = lattice.sextic.surface()
     if surface.double_klein:
         swap = sum(a * g.swap for a, g in zip(v, images))
@@ -501,14 +469,19 @@ def _analysis(lattice: GeometricLattice, star: int) -> TranslationAnalysis:
     return TranslationAnalysis(surface, kernel, image, cokernel, group)
 
 
-def translation_analysis(lattice: GeometricLattice) -> TranslationAnalysis:
-    return _analysis(lattice, _KLEIN_STAR)
+def translation_analysis(lattice: GeometricLattice, star: int = 0) -> TranslationAnalysis:
+    """Kernel, image and cokernel of the translation homomorphism.
+
+    ``star`` (0 or 1) picks the image of the band type's central bridge:
+    the component swap, or the swap composed with the shift.
+    """
+    return _analysis(lattice, star)
 
 
 def is_translation_class(g: ModSElement) -> bool:
     """Is the mapping class realized by translation along some lattice vector?"""
     lattice = build_lattice(g.surface.sextic())
-    images = _basis_images(lattice, _KLEIN_STAR)
+    images = _basis_images(lattice, 0)
     dim, relators = _coordinate_relators(g.surface)
     rows = [list(linear_coordinates(h)) for h in images] + relators
     return in_rowspan(rows, linear_coordinates(g))

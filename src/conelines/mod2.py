@@ -50,10 +50,6 @@ class Mod2Vector:
     def is_zero(self) -> bool:
         return not any(self.bits)
 
-    def lift(self) -> Vec:
-        """The 0/1 integer lift in the fixed basis."""
-        return self.bits
-
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.bits) if b)
 

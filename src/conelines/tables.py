@@ -16,22 +16,11 @@ from .mapping_class import mods_group_structure, translation_analysis
 from .mod2 import strata_profile
 from .tritangents import TritangentType, type_census
 
-#: Column order used by the census and strata grids: positive-oval types
-#: in decreasing size, then the band/negative types.
-CENSUS_COLUMN_ORDER: tuple[str, ...] = (
-    "4|0",
-    "3|0",
-    "2|0",
-    "1|0",
-    "0|0",
-    "1|1",
-    "|||",
-    "0|1",
-    "0|2",
-    "0|3",
-    "0|4",
-)
+#: Column order of the census grid: the order of ``ALL_SEXTIC_TYPES``.
+CENSUS_COLUMN_ORDER: tuple[str, ...] = tuple(s.key for s in ALL_SEXTIC_TYPES)
 
+#: Column order of the strata grid, as published: the oval-free type
+#: moves behind the band types.
 STRATA_COLUMN_ORDER: tuple[str, ...] = (
     "4|0",
     "3|0",

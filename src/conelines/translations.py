@@ -14,7 +14,6 @@ constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .lattices import (
     GeometricLattice,
@@ -41,14 +40,9 @@ def mw_act_h2(lattice: GeometricLattice, w: Vec, x: H2ClassX) -> H2ClassX:
     )
 
 
-@lru_cache(maxsize=None)
-def _radical_list(lattice: GeometricLattice) -> tuple[Mod2Vector, ...]:
-    return tuple(radical_elements(lattice))
-
-
 def coset_representative(x: Mod2Vector) -> Mod2Vector:
     """Lexicographically least representative of x modulo the radical."""
-    return min((x + r for r in _radical_list(x.lattice)), key=lambda y: y.bits)
+    return min((x + r for r in radical_elements(x.lattice)), key=lambda y: y.bits)
 
 
 @dataclass(frozen=True)
@@ -81,20 +75,19 @@ def mw_act_h1_mod2(lattice: GeometricLattice, w: Vec, x: H1Mod2Class) -> H1Mod2C
     return H1Mod2Class(mu, v, x.nu)
 
 
-# Surface types whose quadratic refinement vanishes on the radical: there
-# the fiber coefficient of a realizable line class is forced.
-_PARITY_BOUND_TYPES = {(4, 0), (1, 1), (0, 4)}
-
-
 def realizable_mod2(surface: SurfaceType, x: H1Mod2Class) -> bool:
-    """Is the mod-2 class realized by a real line on this surface?"""
+    """Is the mod-2 class realized by a real line on this surface?
+
+    Where the quadratic refinement vanishes on the whole radical, the
+    fiber coefficient of a realizable line class is forced to its value.
+    """
     if surface.double_klein:
         raise UnsupportedTypeError(
             "the double Klein bottle has no fiber/vanishing/section frame"
         )
     if x.nu != 1:
         raise ValueError("only section-type classes (nu = 1) can be realized by lines")
-    if (surface.handles, surface.spheres) in _PARITY_BOUND_TYPES:
+    if all(q0(r) == 0 for r in radical_elements(build_lattice(surface.sextic()))):
         return x.mu == q0(x.v_part)
     return True
 

@@ -209,16 +209,6 @@ def _code(sextic: SexticType, tri: Tritangent) -> Code:
     return Code(symbols, bracket, None)
 
 
-def code_of(tri: Tritangent, sextic: SexticType) -> Code:
-    """The crossing code of a classified tritangent.
-
-    Raises for the band and oval-free types, which carry no such code.
-    """
-    if sextic.bands or sextic.pos_ovals == 0:
-        raise UnsupportedTypeError(f"type {sextic} has no crossing codes")
-    return _code(sextic, tri)
-
-
 @lru_cache(maxsize=None)
 def _enumerate(lattice: GeometricLattice) -> tuple[Tritangent, ...]:
     return tuple(classify_root(lattice, plus) for plus, _ in root_pairs(lattice))

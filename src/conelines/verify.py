@@ -34,6 +34,7 @@ from .homology_action import (
 )
 from .intlinalg import row_hermite_form
 from .lattices import (
+    ALL_SEXTIC_TYPES,
     H2ClassX,
     SexticType,
     SurfaceType,
@@ -48,14 +49,12 @@ from .lattices import (
 )
 from .mapping_class import (
     ModSElement,
-    current_klein_star,
     is_translation_class,
     mods_delta,
     mods_element,
     mods_identity,
     mods_mul,
     mods_group_structure,
-    set_klein_component_image,
     translation_analysis,
     translation_class,
 )
@@ -133,8 +132,6 @@ def _true(results: list[CheckResult], name: str, holds: bool, detail: str = "") 
 # frozen expectations
 
 
-_TYPE_ORDER = ("4|0", "3|0", "2|0", "1|0", "0|0", "1|1", "|||", "0|1", "0|2", "0|3", "0|4")
-
 #: Positive-tritangent counts per (sextic type, tritangent type).
 _CENSUS_GRID: dict[str, tuple[int, int, int, int, int]] = {
     # order: T0, T0*, T1, T2, T3
@@ -191,8 +188,6 @@ _EXPECTED_CODES_1_0 = Counter({"o": 1, "u": 3, "C": 1, "O": 4, "U": 4})
 
 #: Two-oval codes repeat twice after bracket stripping, except these four.
 _P2_SINGLETONS = frozenset({"u o", "o u", "C o", "o C"})
-
-_GROUP = tuple  # (free rank, torsion) pairs mirror GroupInvariants fields
 
 #: Translation-homomorphism analysis: mapping class group, image,
 #: kernel rank, cokernel — one row per surface type.
@@ -305,8 +300,9 @@ def _criterion_1() -> list[CheckResult]:
     """Tritangent censuses by type."""
     results: list[CheckResult] = []
     order = tuple(TritangentType)
-    for key in _TYPE_ORDER:
-        census = type_census(SexticType.from_key(key))
+    for sextic in ALL_SEXTIC_TYPES:
+        key = sextic.key
+        census = type_census(sextic)
         observed = tuple(census[t] for t in order)
         _eq(results, f"1.census {key}", observed, _CENSUS_GRID[key])
         _eq(results, f"1.total {key}", sum(observed), sum(_CENSUS_GRID[key]))
@@ -316,8 +312,9 @@ def _criterion_1() -> list[CheckResult]:
 def _criterion_2() -> list[CheckResult]:
     """Mod-2 strata sizes and the odd-radical halving identity."""
     results: list[CheckResult] = []
-    for key in _TYPE_ORDER:
-        profile = strata_profile(build_lattice(SexticType.from_key(key)))
+    for sextic in ALL_SEXTIC_TYPES:
+        key = sextic.key
+        profile = strata_profile(build_lattice(sextic))
         sizes = (
             profile.size_v,
             profile.size_r,
@@ -429,9 +426,9 @@ def _hnf(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in result.h if any(r))
 
 
-def _analysis_row(surface: SurfaceType):
+def _analysis_row(surface: SurfaceType, star: int = 0):
     lattice = build_lattice(surface.sextic())
-    analysis = translation_analysis(lattice)
+    analysis = translation_analysis(lattice, star)
     group = mods_group_structure(surface)
     return (
         (group.free_rank, group.torsion),
@@ -444,8 +441,8 @@ def _analysis_row(surface: SurfaceType):
 def _criterion_5() -> list[CheckResult]:
     """Translation homomorphism: group, image, kernel, cokernel."""
     results: list[CheckResult] = []
-    for key in _TYPE_ORDER:
-        sextic = SexticType.from_key(key)
+    for sextic in ALL_SEXTIC_TYPES:
+        key = sextic.key
         surface = sextic.surface()
         row, analysis = _analysis_row(surface)
         _eq(results, f"5.analysis {surface.key}", row, _ANALYSIS_EXPECTED[surface.key])
@@ -457,16 +454,11 @@ def _criterion_5() -> list[CheckResult]:
         )
     # The choice of where the component swap sends the reference section
     # must not change any of the two-Klein-bottle conclusions.
-    star = current_klein_star()
-    try:
-        rows = []
-        for alt in (0, 1):
-            set_klein_component_image(alt)
-            row, analysis = _analysis_row(SurfaceType(0, 0, double_klein=True))
-            rows.append((row, _hnf(analysis.kernel_basis)))
-        _eq(results, "5.swap-choice-invariance K+K", rows[0], rows[1])
-    finally:
-        set_klein_component_image(star)
+    rows = []
+    for star in (0, 1):
+        row, analysis = _analysis_row(SurfaceType(0, 0, double_klein=True), star)
+        rows.append((row, _hnf(analysis.kernel_basis)))
+    _eq(results, "5.swap-choice-invariance K+K", rows[0], rows[1])
     return results
 
 
@@ -487,8 +479,8 @@ def _random_element(rng: random.Random, surface: SurfaceType) -> ModSElement:
 def _criterion_6(rng: random.Random) -> list[CheckResult]:
     """Group laws of the fiberwise mapping classes."""
     results: list[CheckResult] = []
-    for key in _TYPE_ORDER:
-        sextic = SexticType.from_key(key)
+    for sextic in ALL_SEXTIC_TYPES:
+        key = sextic.key
         lattice = build_lattice(sextic)
         surface = sextic.surface()
         additive = True
@@ -749,8 +741,8 @@ def _criterion_10() -> list[CheckResult]:
 def _criterion_11() -> list[CheckResult]:
     """Counting section classes of real lines."""
     results: list[CheckResult] = []
-    for key in _TYPE_ORDER:
-        surface = SexticType.from_key(key).surface()
+    for sextic in ALL_SEXTIC_TYPES:
+        surface = sextic.surface()
         counted = count_line_classes(surface)
         _eq(results, f"11.count {surface.key}", counted.finite, _LINE_CLASS_EXPECTED[surface.key])
         if counted.finite is None:

@@ -1,8 +1,8 @@
 import pytest
 
-from conelines.lattices import SexticType, build_lattice
+from conelines.lattices import ALL_SEXTIC_TYPES, SexticType, build_lattice
 
-TYPE_KEYS = ("4|0", "3|0", "2|0", "1|0", "0|0", "1|1", "|||", "0|1", "0|2", "0|3", "0|4")
+TYPE_KEYS = tuple(s.key for s in ALL_SEXTIC_TYPES)
 
 HANDLE_KEYS = ("4|0", "3|0", "2|0", "1|0", "1|1")
 

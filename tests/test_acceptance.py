@@ -72,8 +72,12 @@ def test_criterion_11_line_class_counts(results):
 def test_criterion_12_cli_self_check(tmp_path, capsys):
     assert cli.main(["verify", "--out", str(tmp_path / "clean.md")]) == 0
     assert cli.main(["verify", "--fault", "gram", "--out", str(tmp_path / "hurt.md")]) == 1
+    # the fault hook must leave no state behind for the next run
+    assert cli.main(["verify", "--out", str(tmp_path / "after.md")]) == 0
     capsys.readouterr()
     clean = (tmp_path / "clean.md").read_text(encoding="utf-8")
     hurt = (tmp_path / "hurt.md").read_text(encoding="utf-8")
+    after = (tmp_path / "after.md").read_text(encoding="utf-8")
     assert "FAIL" not in clean
     assert "| FAIL |" in hurt
+    assert "FAIL" not in after

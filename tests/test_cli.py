@@ -119,6 +119,19 @@ def test_act_mod2(capsys):
     assert rows["class out"] == "(1, 0, 0, 0, 0, 0, 1)"
 
 
+def test_act_negative_vector_needs_double_dash(capsys):
+    code, out = run(
+        capsys, "act", "K#T2", "--format", "json", "--", "-3,-1,1,0,0", "1,0,1,1"
+    )
+    assert code == 0
+    assert dict(json.loads(out)["rows"])["class out"] == "(0, 0, 0, 1)"
+    # without "--", argparse reads the leading "-3,..." as an option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["act", "K#T2", "-3,-1,1,0,0", "1,0,1,1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_act_dimension_mismatches(capsys):
     assert run(capsys, "act", "K#T2", "0,1", "0,0,0,1")[0] == 2
     assert run(capsys, "act", "K#T2", "0,1,0,0,0", "0,0,1")[0] == 2

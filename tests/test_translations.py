@@ -9,7 +9,6 @@ from conelines.lattices import (
     SexticType,
     UnsupportedTypeError,
     base_line_class_x,
-    enumerate_roots,
     fiber_class_x,
     line_class_on_X,
     pairing_x,
@@ -94,13 +93,22 @@ def test_coset_representative_is_constant_on_cosets(d4_band):
         assert coset_representative(rep) == rep
 
 
-def test_parity_bound_types_constrain_the_fiber_bit(e8):
-    for w in enumerate_roots(e8)[:20]:
-        x = H1Mod2Class(1, reduce_mod2(e8, w), 1)
-        wrong = H1Mod2Class(0, reduce_mod2(e8, w), 1)
-        surface = SexticType.from_key("4|0").surface()
-        assert realizable_mod2(surface, x) == (q0(x.v_part) == 1)
-        assert realizable_mod2(surface, wrong) == (q0(wrong.v_part) == 0)
+def test_parity_bound_types_constrain_the_fiber_bit():
+    from conelines.mod2 import all_residues
+
+    # exactly these types force the fiber bit; every other non-band type
+    # realizes both bits over every vanishing class
+    bound = {"4|0", "1|1", "0|4"}
+    for key in TYPE_KEYS:
+        if key == "|||":
+            continue
+        lattice = lattice_for(key)
+        surface = SexticType.from_key(key).surface()
+        for v in all_residues(lattice):
+            for mu in (0, 1):
+                x = H1Mod2Class(mu, v, 1)
+                expected = mu == q0(x.v_part) if key in bound else True
+                assert realizable_mod2(surface, x) == expected, (key, mu, v.bits)
 
 
 def test_unbounded_types_realize_both_fiber_bits(d6):
