@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -315,19 +316,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "act", parents=[common], help="apply a translation to a homology class"
     )
     p_act.add_argument("surface", help="surface type such as K#2T2, K+S2, or K+K")
-    p_act.add_argument(
-        "vector",
-        help="comma-separated lattice coordinates; when they start with a minus "
-        "sign, put -- before the positionals: act 'K#T2' -- -3,-1,1,0,0 1,0,1,1",
-    )
+    p_act.add_argument("vector", help="comma-separated lattice coordinates")
     p_act.add_argument("klass", metavar="class", help="comma-separated class coordinates")
     p_act.add_argument("--mod2", action="store_true", help="act on mod-2 classes")
     return parser
 
 
+_NEGATIVE_LIST = re.compile(r"-\d+(?:,-?\d+)+")
+
+
+def _shield_negative_lists(argv: Sequence[str]) -> list[str]:
+    """Prefix each comma-separated list of integers that starts with "-" with a space.
+
+    argparse reads a token that starts with "-" as an option unless it is a
+    single negative number, so ``-3,-1,1,0,0`` would be an unknown option.
+    No option of this command starts with a digit, so such a token is
+    always a positional; with the space argparse takes it as one, and
+    ``int`` ignores the space.  ``act 'K#T2' -3,-1,1,0,0 1,0,1,1`` thus
+    parses like its ``--`` form while options may still stand anywhere.
+    """
+    return [" " + arg if _NEGATIVE_LIST.fullmatch(arg) else arg for arg in argv]
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_shield_negative_lists(sys.argv[1:] if argv is None else argv))
     if not 0 <= args.seed < 2**64:
         parser.error("--seed must fit in an unsigned 64-bit integer")
 

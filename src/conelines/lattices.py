@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import isqrt, lcm
+from operator import mul
 
 Vec = tuple[int, ...]
 
@@ -201,21 +203,31 @@ ALL_SURFACE_TYPES: tuple[SurfaceType, ...] = tuple(
 class GeometricLattice:
     """A vanishing-cycle root lattice in its fixed geometric basis.
 
-    ``gram`` is the full Gram matrix (diagonal -2, off-diagonal +1 exactly
-    for adjacent cycles).  ``oval_indices``/``bridge_indices`` record which
-    basis positions hold oval classes and which hold bridge classes.
+    ``edges`` lists the adjacent pairs of cycles; the Gram matrix has
+    diagonal -2 and off-diagonal +1 exactly on those pairs.
+    ``oval_indices``/``bridge_indices`` record which basis positions hold
+    oval classes and which hold bridge classes.
     """
 
     name: str
     sextic: SexticType
     basis_names: tuple[str, ...]
-    gram: tuple[Vec, ...]
+    edges: tuple[tuple[int, int], ...]
     oval_indices: tuple[int, ...]
     bridge_indices: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.basis_names)
+
+    @cached_property
+    def gram(self) -> tuple[Vec, ...]:
+        """The full Gram matrix, built once from the edge list."""
+        n = self.rank
+        g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i, j in self.edges:
+            g[i][j] = g[j][i] = 1
+        return tuple(tuple(row) for row in g)
 
     def basis_vector(self, i: int) -> Vec:
         return unit_vec(self.rank, i)
@@ -290,15 +302,11 @@ def _build(sextic: SexticType, fault: str | None) -> GeometricLattice:
     if not sextic.bands and sextic.pos_ovals == 0:
         # 0|q: pairwise orthogonal bridge classes only.
         n = 4 - sextic.neg_ovals
-        names = tuple(f"B{i + 1}" for i in range(n))
-        gram = tuple(
-            tuple(-2 if i == j else 0 for j in range(n)) for i in range(n)
-        )
         return GeometricLattice(
             name=f"{n}A1" if n else "0",
             sextic=sextic,
-            basis_names=names,
-            gram=gram,
+            basis_names=tuple(f"B{i + 1}" for i in range(n)),
+            edges=(),
             oval_indices=(),
             bridge_indices=tuple(range(n)),
         )
@@ -306,17 +314,13 @@ def _build(sextic: SexticType, fault: str | None) -> GeometricLattice:
     names, edges, ovals, name = _GRAPHS[sextic.key]
     if fault == "gram" and sextic.key == "4|0":
         edges = edges[1:]  # drop the O1-B12 adjacency
-    n = len(names)
-    g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j in edges:
-        g[i][j] = g[j][i] = 1
     return GeometricLattice(
         name=name,
         sextic=sextic,
         basis_names=names,
-        gram=tuple(tuple(row) for row in g),
+        edges=edges,
         oval_indices=ovals,
-        bridge_indices=tuple(i for i in range(n) if i not in ovals),
+        bridge_indices=tuple(i for i in range(len(names)) if i not in ovals),
     )
 
 
@@ -325,16 +329,18 @@ def _build(sextic: SexticType, fault: str | None) -> GeometricLattice:
 
 
 def pair(lattice: GeometricLattice, v: Vec, w: Vec) -> int:
-    """Evaluate the lattice's bilinear form on two coordinate vectors."""
-    if len(v) != lattice.rank or len(w) != lattice.rank:
-        raise ValueError(
-            f"coordinate length mismatch: rank {lattice.rank}, got {len(v)} and {len(w)}"
-        )
-    total = 0
-    for i, vi in enumerate(v):
-        if vi:
-            row = lattice.gram[i]
-            total += vi * sum(rij * wj for rij, wj in zip(row, w) if wj)
+    """Evaluate the lattice's bilinear form on two coordinate vectors.
+
+    The Gram matrix is -2 on the diagonal and +1 on the Dynkin edges, so
+    v.w = -2 sum_i v_i w_i + sum_{(i, j) edge} (v_i w_j + v_j w_i), which
+    costs O(rank) instead of O(rank^2).
+    """
+    n = lattice.rank
+    if len(v) != n or len(w) != n:
+        raise ValueError(f"coordinate length mismatch: rank {n}, got {len(v)} and {len(w)}")
+    total = -2 * sum(map(mul, v, w))
+    for i, j in lattice.edges:
+        total += v[i] * w[j] + v[j] * w[i]
     return total
 
 
@@ -379,65 +385,83 @@ def enumerate_roots(lattice: GeometricLattice) -> tuple[Vec, ...]:
 
 
 @lru_cache(maxsize=None)
-def _square_completion(lattice: GeometricLattice):
-    """Sum-of-squares form of the (negated) gram matrix.
+def _square_completion(lattice: GeometricLattice) -> tuple[int, tuple]:
+    """Integer Fincke-Pohst levels of the negated form.
 
-    Returns per-index pairs (d_i, row_i) with -Q(x) = sum d_i (x_i +
-    row_i . x_{>i})^2, d_i > 0 exact fractions.  Valid because every
-    lattice here is negative definite.
+    Completing squares writes the positive definite form -v.v as
+    sum_i d_i (x_i + sum_{j>i} r_ij x_j)^2 with exact rationals d_i > 0
+    (every lattice here is negative definite).  With den_i the least
+    common denominator of the r_ij, a_ij = den_i r_ij and one global scale
+    S chosen so that every K_i = S d_i / den_i^2 is an integer, this is
+
+        S * (-v.v) = sum_i K_i u_i^2,   u_i = den_i x_i + sum_{j>i} a_ij x_j,
+
+    with integers throughout.  Returns (S, levels), where levels[i] is
+    (den_i, K_i, ((j, a_ij), ...)) over the nonzero a_ij.  Fractions are
+    used here only, once per lattice.
     """
     from fractions import Fraction
 
     n = lattice.rank
     q = [[Fraction(-lattice.gram[i][j]) for j in range(n)] for i in range(n)]
-    levels = []
+    rational = []
     for i in range(n):
         d = q[i][i]
-        row = tuple(q[i][j] / d for j in range(i + 1, n))
-        levels.append((d, row))
+        rational.append((d, {j: q[i][j] / d for j in range(i + 1, n) if q[i][j]}))
         for a in range(i + 1, n):
             for b in range(i + 1, n):
                 q[a][b] -= q[i][a] * q[i][b] / d
-    return tuple(levels)
+    dens = [lcm(1, *(r.denominator for r in row.values())) for _, row in rational]
+    scale = lcm(1, *((d / den**2).denominator for (d, _), den in zip(rational, dens)))
+    levels = tuple(
+        (
+            den,
+            int(scale * d / den**2),
+            tuple((j, int(den * r)) for j, r in row.items()),
+        )
+        for (d, row), den in zip(rational, dens)
+    )
+    return scale, levels
 
 
 def vectors_with_norm_at_least(lattice: GeometricLattice, floor: int) -> tuple[Vec, ...]:
-    """All lattice vectors v with floor <= v.v (<= 0 by definiteness).
+    """All lattice vectors v with floor <= v.v (<= 0 by definiteness), sorted.
 
-    Exact shell enumeration by completing squares level by level; the
-    per-level integer ranges use isqrt over- and under-estimates, with an
-    exact budget test before each descent.
+    Fincke-Pohst enumeration on integers only (Fincke and Pohst, Math.
+    Comp. 44, 1985; Cohen, Alg. 2.7.5), over the levels of
+    ``_square_completion``.  The budget starts at R = -floor * S and the
+    descent runs from the last coordinate to the first.  At level i the
+    coordinates above fix the centre c = sum a_ij x_j, and K_i u^2 <= R
+    holds exactly when |u| <= t = isqrt(R // K_i), so x_i runs over
+    ceil((-t - c) / den_i) .. floor((t - c) / den_i) with no further test
+    and R - K_i u^2 is passed down.
     """
-    from fractions import Fraction
-    from math import isqrt
-
     n = lattice.rank
     if floor > 0:
         return ()
     if n == 0:
         return ((),)
-    levels = _square_completion(lattice)
+    scale, levels = _square_completion(lattice)
     out: list[Vec] = []
     coords = [0] * n
 
-    def descend(i: int, remaining: Fraction) -> None:
-        if i < 0:
-            out.append(tuple(coords))
-            return
-        d, row = levels[i]
-        center = sum(r * coords[i + 1 + j] for j, r in enumerate(row))
-        w = remaining / d
-        s_hi = Fraction(isqrt(w.numerator * w.denominator) + 1, w.denominator)
-        lo = -s_hi - center
-        hi = s_hi - center
-        for x in range(-int(-lo // 1), int(hi // 1) + 1):
-            used = d * (x + center) ** 2
-            if used <= remaining:
+    def descend(i: int, budget: int) -> None:
+        den, weight, centre = levels[i]
+        c = sum(a * coords[j] for j, a in centre)
+        t = isqrt(budget // weight)
+        xs = range(-((t + c) // den), (t - c) // den + 1)
+        if i == 0:
+            for x in xs:
+                coords[0] = x
+                out.append(tuple(coords))
+        else:
+            for x in xs:
                 coords[i] = x
-                descend(i - 1, remaining - used)
+                u = den * x + c
+                descend(i - 1, budget - weight * u * u)
         coords[i] = 0
 
-    descend(n - 1, Fraction(-floor))
+    descend(n - 1, -floor * scale)
     return tuple(sorted(out))
 
 

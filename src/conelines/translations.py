@@ -14,6 +14,7 @@ constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .lattices import (
     GeometricLattice,
@@ -27,7 +28,7 @@ from .lattices import (
     vadd,
     smul,
 )
-from .mod2 import Mod2Vector, mod2_pair, q0, radical_elements, reduce_mod2
+from .mod2 import Bits, Mod2Vector, mod2_pair, q0, radical_elements, reduce_mod2
 
 
 def mw_act_h2(lattice: GeometricLattice, w: Vec, x: H2ClassX) -> H2ClassX:
@@ -42,7 +43,14 @@ def mw_act_h2(lattice: GeometricLattice, w: Vec, x: H2ClassX) -> H2ClassX:
 
 def coset_representative(x: Mod2Vector) -> Mod2Vector:
     """Lexicographically least representative of x modulo the radical."""
-    return min((x + r for r in radical_elements(x.lattice)), key=lambda y: y.bits)
+    return _least_in_coset(x.lattice, x.bits)
+
+
+@lru_cache(maxsize=None)
+def _least_in_coset(lattice: GeometricLattice, bits: Bits) -> Mod2Vector:
+    """The minimum over the radical, computed once per residue (at most 2^8)."""
+    x = Mod2Vector(bits, lattice)
+    return min((x + r for r in radical_elements(lattice)), key=lambda y: y.bits)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,14 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import conelines
 
 from conelines import cli
 from conelines.homology_action import class_of_section
@@ -119,17 +125,20 @@ def test_act_mod2(capsys):
     assert rows["class out"] == "(1, 0, 0, 0, 0, 0, 1)"
 
 
-def test_act_negative_vector_needs_double_dash(capsys):
-    code, out = run(
-        capsys, "act", "K#T2", "--format", "json", "--", "-3,-1,1,0,0", "1,0,1,1"
-    )
+def test_act_negative_vector_with_or_without_double_dash(capsys):
+    for argv in (
+        ("act", "K#T2", "--format", "json", "--", "-3,-1,1,0,0", "1,0,1,1"),
+        ("act", "K#T2", "-3,-1,1,0,0", "1,0,1,1", "--format", "json"),
+        ("act", "--format", "json", "K#T2", "-3,-1,1,0,0", "1,0,1,1"),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        rows = dict(json.loads(out)["rows"])
+        assert rows["vector"] == "(-3, -1, 1, 0, 0)"
+        assert rows["class out"] == "(0, 0, 0, 1)"
+    code, out = run(capsys, "act", "K#T2", "-3,-1,1,0,0", "1,0,1,0,0,0,1", "--mod2", "--format", "json")
     assert code == 0
-    assert dict(json.loads(out)["rows"])["class out"] == "(0, 0, 0, 1)"
-    # without "--", argparse reads the leading "-3,..." as an option
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["act", "K#T2", "-3,-1,1,0,0", "1,0,1,1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert dict(json.loads(out)["rows"])["class out"] == "(0, 0, 0, 0, 0, 0, 1)"
 
 
 def test_act_dimension_mismatches(capsys):
@@ -167,3 +176,16 @@ def test_out_writes_the_rendering_to_a_file(tmp_path, capsys):
 def test_bad_output_path_is_a_usage_error(capsys):
     code, _ = run(capsys, "tables", "line-classes", "--out", "/nonexistent/dir/x.md")
     assert code == 2
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(conelines.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "conelines", "tables", "line-classes"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("## ")

@@ -1,11 +1,15 @@
 """Lattice construction, root enumeration, and the homology frame."""
 
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelines.lattices import (
     ALL_SEXTIC_TYPES,
+    _build,
     SexticType,
     SurfaceType,
     base_line_class_x,
@@ -105,6 +109,26 @@ def test_pairing_is_symmetric_and_bilinear(data):
     assert norm(lattice, v) == pair(lattice, v, v)
 
 
+FAULTED_E8 = _build(SexticType(4, 0), "gram")
+
+
+@pytest.mark.parametrize(
+    "lattice", [lattice_for(k) for k in TYPE_KEYS] + [FAULTED_E8], ids=[*TYPE_KEYS, "4|0-gram"]
+)
+@given(data=st.data())
+@settings(max_examples=40)
+def test_edge_list_pairing_equals_the_dense_form(lattice, data):
+    n = lattice.rank
+    vec = st.tuples(*[st.integers(-6, 6)] * n)
+    v, w = data.draw(vec), data.draw(vec)
+    dense = sum(v[i] * lattice.gram[i][j] * w[j] for i in range(n) for j in range(n))
+    assert pair(lattice, v, w) == dense
+    with pytest.raises(ValueError):
+        pair(lattice, v + (0,), w)
+    with pytest.raises(ValueError):
+        pair(lattice, v, w + (0,))
+
+
 @given(typed_vector())
 @settings(max_examples=60)
 def test_root_reflections_preserve_the_form(data):
@@ -139,6 +163,57 @@ def test_shell_enumeration_matches_brute_force_box():
         if a * a + b * b + c * c + d * d <= 4
     }
     assert shell == brute
+
+
+def _sums_of_squares(dim: int, top: int) -> list[int]:
+    """r_dim(m) for m = 0..top: the x in Z^dim with sum x_i^2 = m (|x_i| <= 3)."""
+    counts = Counter(sum(x * x for x in p) for p in itertools.product(range(-3, 4), repeat=dim))
+    return [counts[m] for m in range(top + 1)]
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _theta_counts() -> dict[str, list[int]]:
+    """Vectors of norm -2k, k = 0..5, from classical formulas.
+
+    E8: 240 sigma_3(k); E7: the theta series of E7; D_n: the vectors of
+    Z^n with even square sum 2k; nA1 (n = 4 - q for 0|q): the vectors of
+    Z^n with square sum k; D4+A1: the convolution of the two.  The box
+    |x_i| <= 3 suffices because a coordinate 4 already has square 16 > 10.
+    """
+    sigma3 = [sum(d**3 for d in range(1, k + 1) if k % d == 0) for k in range(6)]
+    d4 = _sums_of_squares(4, 10)[::2]
+    a1 = _sums_of_squares(1, 5)
+    counts = {
+        "4|0": [1] + [240 * s for s in sigma3[1:]],
+        "3|0": [1, 126, 756, 2072, 4158, 7560],
+        "2|0": _sums_of_squares(6, 10)[::2],
+        "1|0": _convolve(d4, a1),
+        "1|1": d4,
+        "|||": d4,
+    }
+    for q in range(5):
+        counts[f"0|{q}"] = _sums_of_squares(4 - q, 5)
+    return counts
+
+
+THETA_COUNTS = _theta_counts()
+
+
+def test_theta_formulas_reproduce_the_known_e8_shells():
+    assert THETA_COUNTS["4|0"] == [1, 240, 2160, 6720, 17520, 30240]
+    assert sum(THETA_COUNTS["4|0"][:5]) == 26641
+
+
+@pytest.mark.parametrize("key", TYPE_KEYS)
+def test_shell_counts_match_the_theta_series(key):
+    lattice = lattice_for(key)
+    shell = vectors_with_norm_at_least(lattice, -10)
+    per_norm = Counter(-norm(lattice, v) // 2 for v in shell)
+    assert [per_norm[k] for k in range(6)] == THETA_COUNTS[key]
+    assert len(shell) == sum(THETA_COUNTS[key])
 
 
 def test_type_keys_round_trip():
