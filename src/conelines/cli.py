@@ -324,6 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _NEGATIVE_LIST = re.compile(r"-\d+(?:,-?\d+)+")
 
+#: The spellings of ``--out`` argparse accepts (no other option starts with "--o").
+_OUT_SPELLINGS = ("--o", "--ou", "--out")
+
 
 def _shield_negative_lists(argv: Sequence[str]) -> list[str]:
     """Prefix each comma-separated list of integers that starts with "-" with a space.
@@ -334,8 +337,18 @@ def _shield_negative_lists(argv: Sequence[str]) -> list[str]:
     always a positional; with the space argparse takes it as one, and
     ``int`` ignores the space.  ``act 'K#T2' -3,-1,1,0,0 1,0,1,1`` thus
     parses like its ``--`` form while options may still stand anywhere.
+    The one exception is the value of ``--out``, a file name, which is
+    attached to the option as ``--out=-3,1`` instead.
     """
-    return [" " + arg if _NEGATIVE_LIST.fullmatch(arg) else arg for arg in argv]
+    out: list[str] = []
+    for arg in argv:
+        if _NEGATIVE_LIST.fullmatch(arg):
+            if out and out[-1] in _OUT_SPELLINGS:
+                out[-1] = f"--out={arg}"
+                continue
+            arg = " " + arg
+        out.append(arg)
+    return out
 
 
 def main(argv: Sequence[str] | None = None) -> int:

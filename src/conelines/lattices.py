@@ -114,7 +114,9 @@ class SexticType:
 
     def surface(self) -> "SurfaceType":
         """Real locus of the elliptic surface attached to this sextic type."""
-        return surface_of_sextic(self)
+        if self.bands:
+            return SurfaceType(0, 0, double_klein=True)
+        return SurfaceType(self.pos_ovals, self.neg_ovals)
 
 
 ALL_SEXTIC_TYPES: tuple[SexticType, ...] = tuple(
@@ -167,15 +169,11 @@ class SurfaceType:
 
     @classmethod
     def from_key(cls, key: str) -> "SurfaceType":
-        key = key.strip()
-        if key == "K+K":
-            return cls(0, 0, double_klein=True)
-        m = re.fullmatch(r"K(?:#(\d?)T2)?(?:\+(\d?)S2)?", key)
-        if m is None:
-            raise ValueError(f"cannot parse surface type {key!r}")
-        p = int(m.group(1)) if m.group(1) else (1 if m.group(1) is not None else 0)
-        q = int(m.group(2)) if m.group(2) else (1 if m.group(2) is not None else 0)
-        return cls(p, q)
+        """The surface type spelled exactly ``key`` (surrounding blanks ignored)."""
+        for surface in ALL_SURFACE_TYPES:
+            if surface.key == key.strip():
+                return surface
+        raise ValueError(f"cannot parse surface type {key!r}")
 
     def sextic(self) -> SexticType:
         """The sextic type whose del Pezzo surface has this real elliptic locus."""
@@ -184,15 +182,7 @@ class SurfaceType:
         return SexticType(self.handles, self.spheres)
 
 
-def surface_of_sextic(sextic: SexticType) -> SurfaceType:
-    if sextic.bands:
-        return SurfaceType(0, 0, double_klein=True)
-    return SurfaceType(sextic.pos_ovals, sextic.neg_ovals)
-
-
-ALL_SURFACE_TYPES: tuple[SurfaceType, ...] = tuple(
-    surface_of_sextic(s) for s in ALL_SEXTIC_TYPES
-)
+ALL_SURFACE_TYPES: tuple[SurfaceType, ...] = tuple(s.surface() for s in ALL_SEXTIC_TYPES)
 
 
 # ---------------------------------------------------------------------------

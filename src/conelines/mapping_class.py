@@ -19,8 +19,10 @@ homomorphism from the lattice into the mapping class group, and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mul
 
 from .intlinalg import (
     GroupInvariants,
@@ -90,86 +92,69 @@ class ModSElement:
 
 def mods_element(
     surface: SurfaceType,
-    half_twists: tuple[int, ...] = (),
-    fiber_twists: tuple[int, ...] = (),
-    split_twists: tuple[int, ...] = (),
+    half_twists: Sequence[int] = (),
+    fiber_twists: Sequence[int] = (),
+    split_twists: Sequence[int] = (),
     swap: int = 0,
     shift: int = 0,
 ) -> ModSElement:
-    """Build an element from raw exponents, normalizing the half twists."""
+    """Build an element from raw exponents, normalizing the half twists.
+
+    This is the one place that knows how raw exponents normalize; the
+    group law and the translation map sum exponents and come here once.
+    Empty tuples stand for zeros.
+    """
     p = surface.handles
     if surface.double_klein:
         return ModSElement(surface, swap=swap % 2, shift=shift % 2)
     if p == 0:
-        total = sum(fiber_twists) if fiber_twists else 0
-        return ModSElement(surface, fiber_twists=(total % 2,))
-    kappa = list(half_twists) if half_twists else [0] * p
-    n = list(fiber_twists) if fiber_twists else [0] * p
-    m = list(split_twists) if split_twists else [0] * p
+        return ModSElement(surface, fiber_twists=(sum(fiber_twists) % 2,))
+    kappa = list(half_twists or (0,) * p)
+    n = list(fiber_twists or (0,) * p)
+    m = tuple(split_twists or (0,) * p)
     if not (len(kappa) == len(n) == len(m) == p):
         raise ValueError("exponent tuples must have one entry per handle")
     for i in range(p):
-        q, r = divmod(kappa[i], 2)
-        kappa[i] = r
+        q, kappa[i] = divmod(kappa[i], 2)
         if q:
-            if i < p - 1:
-                n[i] += q
-                n[i + 1] -= q
-            else:
-                n[p - 1] += q
-                n[0] += q
-    return ModSElement(surface, tuple(kappa), tuple(n), tuple(m))
+            n[i] += q
+            n[(i + 1) % p] += q if i == p - 1 else -q
+    return ModSElement(surface, tuple(kappa), tuple(n), m)
+
+
+def _exponents(g: ModSElement) -> tuple[int, ...]:
+    """All exponents of an element in one row: half, fiber and split twists, swap, shift."""
+    return (*g.half_twists, *g.fiber_twists, *g.split_twists, g.swap, g.shift)
+
+
+def _from_exponents(surface: SurfaceType, row: Sequence[int]) -> ModSElement:
+    """Normalize a raw exponent row laid out as ``_exponents`` lays it out.
+
+    The half and split twists take p entries each; the fiber twists take
+    what remains before swap and shift (p of them, one, or none).
+    """
+    *twists, swap, shift = row
+    p, end = surface.handles, len(twists) - surface.handles
+    return mods_element(surface, twists[:p], twists[p:end], twists[end:], swap, shift)
 
 
 def mods_identity(surface: SurfaceType) -> ModSElement:
-    p = surface.handles
-    if surface.double_klein:
-        return ModSElement(surface)
-    if p == 0:
-        return ModSElement(surface, fiber_twists=(0,))
-    zero = (0,) * p
-    return ModSElement(surface, zero, zero, zero)
+    return mods_element(surface)
 
 
 def mods_mul(a: ModSElement, b: ModSElement) -> ModSElement:
     if a.surface != b.surface:
         raise ValueError("elements live on different surfaces")
-    s = a.surface
-    if s.double_klein:
-        return ModSElement(s, swap=(a.swap + b.swap) % 2, shift=(a.shift + b.shift) % 2)
-    if s.handles == 0:
-        return ModSElement(s, fiber_twists=((a.fiber_twists[0] + b.fiber_twists[0]) % 2,))
-    return mods_element(
-        s,
-        tuple(x + y for x, y in zip(a.half_twists, b.half_twists)),
-        tuple(x + y for x, y in zip(a.fiber_twists, b.fiber_twists)),
-        tuple(x + y for x, y in zip(a.split_twists, b.split_twists)),
-    )
+    return _from_exponents(a.surface, tuple(map(add, _exponents(a), _exponents(b))))
 
 
 def mods_inv(a: ModSElement) -> ModSElement:
-    s = a.surface
-    if s.double_klein or s.handles == 0:
-        return a  # every element is an involution
-    return mods_element(
-        s,
-        tuple(-x for x in a.half_twists),
-        tuple(-x for x in a.fiber_twists),
-        tuple(-x for x in a.split_twists),
-    )
+    return mods_pow(a, -1)
 
 
 def mods_pow(a: ModSElement, k: int) -> ModSElement:
-    if k < 0:
-        return mods_pow(mods_inv(a), -k)
-    out = mods_identity(a.surface)
-    base = a
-    while k:
-        if k & 1:
-            out = mods_mul(out, base)
-        base = mods_mul(base, base)
-        k >>= 1
-    return out
+    """The k-th power: the group is abelian, so it scales the exponents."""
+    return _from_exponents(a.surface, tuple(k * x for x in _exponents(a)))
 
 
 def _check_handle_index(surface: SurfaceType, i: int) -> None:
@@ -409,35 +394,26 @@ def _basis_images(lattice: GeometricLattice, star: int) -> tuple[ModSElement, ..
     return tuple(_basis_image(lattice, j, star) for j in range(lattice.rank))
 
 
+@lru_cache(maxsize=None)
+def _image_columns(lattice: GeometricLattice) -> tuple[SurfaceType, tuple[Vec, ...]]:
+    """The surface, and per exponent slot the exponents of the basis images."""
+    surface = lattice.sextic.surface()
+    # A rank-0 lattice has no images; the identity's row sets the slot count.
+    images = _basis_images(lattice, 0) or (mods_identity(surface),)
+    return surface, tuple(zip(*map(_exponents, images)))
+
+
 def translation_class(lattice: GeometricLattice, v: Vec) -> ModSElement:
     """Mapping class of the fiberwise translation attached to a lattice vector.
 
-    Computed as one raw linear combination of the basis images; the carry
-    normalization commutes with exponent addition, so this agrees with the
-    product of powers while staying cheap for bulk sweeps.
+    The sum of the basis images' exponents weighted by v, normalized once;
+    the normalization respects the group law, so this is the product of
+    powers of the basis images.
     """
     if len(v) != lattice.rank:
         raise ValueError("vector length differs from lattice rank")
-    images = _basis_images(lattice, 0)
-    surface = lattice.sextic.surface()
-    if surface.double_klein:
-        swap = sum(a * g.swap for a, g in zip(v, images))
-        shift = sum(a * g.shift for a, g in zip(v, images))
-        return mods_element(surface, swap=swap, shift=shift)
-    p = surface.handles
-    if p == 0:
-        total = sum(a * g.fiber_twists[0] for a, g in zip(v, images))
-        return mods_element(surface, fiber_twists=(total,))
-    kappa = [0] * p
-    n = [0] * p
-    m = [0] * p
-    for a, g in zip(v, images):
-        if a:
-            for i in range(p):
-                kappa[i] += a * g.half_twists[i]
-                n[i] += a * g.fiber_twists[i]
-                m[i] += a * g.split_twists[i]
-    return mods_element(surface, tuple(kappa), tuple(n), tuple(m))
+    surface, columns = _image_columns(lattice)
+    return _from_exponents(surface, [sum(map(mul, v, col)) for col in columns])
 
 
 @dataclass(frozen=True)
@@ -448,16 +424,19 @@ class TranslationAnalysis:
     kernel_basis: tuple[Vec, ...]
     image: GroupInvariants
     cokernel: GroupInvariants
-    group: GroupInvariants
+
+
+def _image_matrix(lattice: GeometricLattice, star: int) -> tuple[int, Matrix]:
+    """Ambient rank of the linear coordinates, and the coordinate rows of
+    the basis images followed by the relators (the rows acting as zero)."""
+    dim, relators = _coordinate_relators(lattice.sextic.surface())
+    images = _basis_images(lattice, star)
+    return dim, [list(linear_coordinates(g)) for g in images] + relators
 
 
 @lru_cache(maxsize=None)
 def _analysis(lattice: GeometricLattice, star: int) -> TranslationAnalysis:
-    surface = lattice.sextic.surface()
-    dim, relators = _coordinate_relators(surface)
-    images = _basis_images(lattice, star)
-    rows = [list(linear_coordinates(g)) for g in images]
-    stacked = rows + relators
+    dim, stacked = _image_matrix(lattice, star)
     full_kernel = left_kernel_basis(stacked)
     trimmed = [list(row[: lattice.rank]) for row in full_kernel]
     trimmed = [row for row in trimmed if any(row)]
@@ -465,8 +444,7 @@ def _analysis(lattice: GeometricLattice, star: int) -> TranslationAnalysis:
     kernel = tuple(tuple(row) for row in reduced.h if any(row))
     image = quotient_invariants(lattice.rank, [list(r) for r in kernel])
     cokernel = quotient_invariants(dim, stacked)
-    group = quotient_invariants(dim, relators)
-    return TranslationAnalysis(surface, kernel, image, cokernel, group)
+    return TranslationAnalysis(lattice.sextic.surface(), kernel, image, cokernel)
 
 
 def translation_analysis(lattice: GeometricLattice, star: int = 0) -> TranslationAnalysis:
@@ -480,10 +458,7 @@ def translation_analysis(lattice: GeometricLattice, star: int = 0) -> Translatio
 
 def is_translation_class(g: ModSElement) -> bool:
     """Is the mapping class realized by translation along some lattice vector?"""
-    lattice = build_lattice(g.surface.sextic())
-    images = _basis_images(lattice, 0)
-    dim, relators = _coordinate_relators(g.surface)
-    rows = [list(linear_coordinates(h)) for h in images] + relators
+    _, rows = _image_matrix(build_lattice(g.surface.sextic()), 0)
     return in_rowspan(rows, linear_coordinates(g))
 
 

@@ -82,52 +82,9 @@ def q0(x: Mod2Vector) -> int:
 
 
 @lru_cache(maxsize=None)
-def radical(lattice: GeometricLattice) -> tuple[Mod2Vector, ...]:
-    """A GF(2) basis of the radical of the reduced bilinear form.
-
-    Gaussian elimination on the mod-2 Gram matrix; the radical dimension is
-    the corank, which for an oval count p and a negative-oval count q comes
-    out as 4-p-q.
-    """
-    n = lattice.rank
-    rows = [
-        [lattice.gram[i][j] & 1 for j in range(n)] + [1 if k == i else 0 for k in range(n)]
-        for i in range(n)
-    ]
-    # Eliminate on the first n columns; rows reduced to zero there give
-    # kernel relations in the bookkeeping half.
-    pivot_row = 0
-    for col in range(n):
-        chosen = None
-        for r in range(pivot_row, n):
-            if rows[r][col]:
-                chosen = r
-                break
-        if chosen is None:
-            continue
-        rows[pivot_row], rows[chosen] = rows[chosen], rows[pivot_row]
-        for r in range(n):
-            if r != pivot_row and rows[r][col]:
-                rows[r] = [a ^ b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-    basis = []
-    for r in range(pivot_row, n):
-        basis.append(Mod2Vector(tuple(rows[r][n:]), lattice))
-    return tuple(sorted(basis, key=lambda m: m.bits))
-
-
-@lru_cache(maxsize=None)
 def radical_elements(lattice: GeometricLattice) -> tuple[Mod2Vector, ...]:
-    """Every element of the radical (the GF(2) span of the radical basis)."""
-    basis = radical(lattice)
-    out = []
-    for picks in itertools.product((0, 1), repeat=len(basis)):
-        x = zero_residue(lattice)
-        for take, b in zip(picks, basis):
-            if take:
-                x = x + b
-        out.append(x)
-    return tuple(sorted(set(out), key=lambda m: m.bits))
+    """Every element of the radical of the reduced form, in order of their bits."""
+    return tuple(x for x in all_residues(lattice) if in_radical(x))
 
 
 def in_radical(x: Mod2Vector) -> bool:

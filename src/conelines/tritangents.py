@@ -27,7 +27,7 @@ from .lattices import (
     canonical_root_pair,
     root_pairs,
 )
-from .mod2 import Mod2Vector, mod2_pair, reduce_mod2, zero_residue
+from .mod2 import Mod2Vector, reduce_mod2
 
 
 class TritangentType(str, Enum):
@@ -118,22 +118,18 @@ def oval_bridge_split(lattice: GeometricLattice, x: Mod2Vector) -> OvalBridgeSpl
 def boundary_delta(lattice: GeometricLattice, v_bridge: Mod2Vector) -> Mod2Vector:
     """Boundary of a bridge-supported residue: the sum of its endpoint ovals.
 
-    Each bridge contributes the ovals it meets in the adjacency graph; the
-    kernel of this map is exactly the radical of the mod-2 form.
+    Each bridge contributes the ovals it meets in the adjacency graph, read
+    off the edge list; the kernel of this map is exactly the radical of the
+    mod-2 form.
     """
     if any(v_bridge.bits[i] for i in lattice.oval_indices):
         raise ValueError("input must be supported on bridge positions")
-    out = zero_residue(lattice)
-    for j in v_bridge.support():
-        b = Mod2Vector(lattice.basis_vector(j), lattice)
-        endpoint_bits = tuple(
-            mod2_pair(b, Mod2Vector(lattice.basis_vector(i), lattice))
-            if i in lattice.oval_indices
-            else 0
-            for i in range(lattice.rank)
-        )
-        out = out + Mod2Vector(endpoint_bits, lattice)
-    return out
+    bits = [0] * lattice.rank
+    for i, j in lattice.edges:
+        for bridge, oval in ((i, j), (j, i)):
+            if v_bridge.bits[bridge] and oval in lattice.oval_indices:
+                bits[oval] ^= 1
+    return Mod2Vector(tuple(bits), lattice)
 
 
 def _band_label(e: Vec) -> str:

@@ -146,7 +146,8 @@ def test_act_dimension_mismatches(capsys):
     assert run(capsys, "act", "K#T2", "0,1,0,0,0", "0,0,1")[0] == 2
     assert run(capsys, "act", "K#T2", "0,1,0,0,0", "2,0,0,1")[0] == 2
     assert run(capsys, "act", "K+K", "1,0,0,0", "0,0,0,1")[0] == 2
-    assert run(capsys, "act", "K#9T2", "0", "0,0")[0] == 2
+    for key in ("K#9T2", "K#1T2", "K#0T2", "K+1S2", "K+0S2"):
+        assert run(capsys, "act", key, "0", "0,0")[0] == 2
 
 
 def test_verify_report_shape_and_success(capsys):
@@ -173,9 +174,20 @@ def test_out_writes_the_rendering_to_a_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8").startswith("## ")
 
 
+def test_out_takes_a_name_that_looks_like_a_negative_list(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for option, name in (("--out", "-3,1"), ("--ou", "-5,2")):
+        code, out = run(capsys, "tables", "line-classes", option, name)
+        assert code == 0
+        assert out == ""
+        assert (tmp_path / name).read_text(encoding="utf-8").startswith("## ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["-3,1", "-5,2"]
+
+
 def test_bad_output_path_is_a_usage_error(capsys):
     code, _ = run(capsys, "tables", "line-classes", "--out", "/nonexistent/dir/x.md")
     assert code == 2
+
 
 def test_python_dash_m_runs_the_cli():
     src = str(Path(conelines.__file__).resolve().parent.parent)

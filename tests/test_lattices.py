@@ -247,8 +247,11 @@ def test_surface_map():
 def test_unknown_keys_are_rejected():
     with pytest.raises(ValueError):
         SexticType.from_key("5|0")
-    with pytest.raises(ValueError):
-        SurfaceType.from_key("K#5T2")
+    # Non-canonical spellings of real surfaces are rejected too, so every
+    # accepted key round-trips.
+    for key in ("K#5T2", "K#1T2", "K#0T2", "K+1S2", "K+0S2"):
+        with pytest.raises(ValueError):
+            SurfaceType.from_key(key)
 
 
 def test_section_classes_self_pair_to_minus_one(e8):

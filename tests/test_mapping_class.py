@@ -9,6 +9,7 @@ from conelines.mapping_class import (
     ModSElement,
     fiber_twist,
     from_linear_coordinates,
+    handle_half_twist,
     in_translation_kernel,
     is_translation_class,
     linear_coordinates,
@@ -20,6 +21,7 @@ from conelines.mapping_class import (
     mods_mul,
     mods_pow,
     shift_components,
+    split_twist,
     swap_components,
     translation_class,
 )
@@ -113,6 +115,48 @@ def test_kernel_membership_means_trivial_class(data):
     surface = lattice.sextic.surface()
     trivial = translation_class(lattice, v) == mods_identity(surface)
     assert in_translation_kernel(lattice, v) == trivial
+
+
+def _unit(lattice, j):
+    return tuple(int(i == j) for i in range(lattice.rank))
+
+
+def test_basis_translations_are_the_named_generators():
+    # Additivity cannot see a slot mix-up that is the same on both sides;
+    # each basis vector's image must be the generator word it names.
+    lattice = lattice_for("4|0")
+    s = lattice.sextic.surface()
+
+    def oval(i):
+        return mods_mul(handle_half_twist(s, i), mods_pow(split_twist(s, i), -2))
+
+    def bridge(i, k):
+        return mods_mul(mods_mul(split_twist(s, i), split_twist(s, k)), mods_inv(fiber_twist(s, k)))
+
+    expected = {
+        "O1": oval(1),
+        "B12": bridge(1, 2),
+        "O2": oval(2),
+        "B23": bridge(2, 3),
+        "O3": oval(3),
+        "B34": bridge(3, 4),
+        "O4": oval(4),
+        "B3": split_twist(s, 3),
+    }
+    for j, name in enumerate(lattice.basis_names):
+        assert translation_class(lattice, _unit(lattice, j)) == expected[name], name
+    # The carry written out: the last half twist wraps to the first handle.
+    assert expected["O4"] == ModSElement(s, (0, 0, 0, 1), (-1, 0, 0, 0), (0, 0, 0, -2))
+
+    bands = lattice_for("|||")
+    k = bands.sextic.surface()
+    for j, name in enumerate(bands.basis_names):
+        want = swap_components(k) if name == "B0" else shift_components(k)
+        assert translation_class(bands, _unit(bands, j)) == want, name
+
+    spheres = lattice_for("0|2")
+    for j in range(spheres.rank):
+        assert translation_class(spheres, _unit(spheres, j)) == fiber_twist(spheres.sextic.surface())
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conelines.intlinalg import smith_normal_form
 from conelines.lattices import enumerate_roots, norm
 from conelines.mod2 import (
     NoRootLiftError,
@@ -55,6 +56,15 @@ def test_radical_pairs_to_zero_with_everything(key):
     for r in radical_elements(lattice):
         assert in_radical(r)
         assert all(mod2_pair(r, x) == 0 for x in all_residues(lattice))
+
+
+@pytest.mark.parametrize("key", TYPE_KEYS)
+def test_radical_size_matches_the_smith_form(key):
+    # The radical of the form mod 2 is the kernel of the Gram matrix mod 2;
+    # its dimension is the number of even invariant factors.
+    lattice = lattice_for(key)
+    even = sum(1 for d in smith_normal_form(lattice.gram).diagonal if d % 2 == 0)
+    assert len(radical_elements(lattice)) == 2**even
 
 
 def test_radical_sizes_match_profile():

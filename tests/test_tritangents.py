@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from conelines.lattices import is_root
-from conelines.mod2 import reduce_mod2
+from conelines.mod2 import all_residues, radical_elements, reduce_mod2
 from conelines.tritangents import (
     TritangentType,
     boundary_delta,
@@ -89,6 +89,18 @@ def test_boundary_of_a_bridge_hits_its_ovals(d6):
         split = oval_bridge_split(d6, x)
         delta = boundary_delta(d6, split.v_bridge)
         assert set(delta.support()) <= set(d6.oval_indices)
+
+
+@pytest.mark.parametrize("key", ("4|0", "3|0", "2|0", "1|0", "1|1"))
+def test_boundary_kernel_is_the_radical(key):
+    # The boundary is read off the edge list and the radical off the form;
+    # the bridge-supported residues with no boundary are the radical.
+    lattice = lattice_for(key)
+    bridge_supported = [
+        x for x in all_residues(lattice) if not any(x.bits[i] for i in lattice.oval_indices)
+    ]
+    kernel = [x for x in bridge_supported if boundary_delta(lattice, x).is_zero()]
+    assert kernel == list(radical_elements(lattice))
 
 
 def test_cup_type_census_by_tangent_pattern():
