@@ -10,11 +10,10 @@ quadratic refinement; elsewhere both bits should appear for every coset.
 """
 
 import argparse
-from collections import Counter
 
-from conelines.lattices import SexticType, build_lattice, norm, vectors_with_norm_at_least
-from conelines.mod2 import all_residues, q0, reduce_mod2
-from conelines.translations import coset_representative
+from conelines.lattices import SexticType, build_lattice
+from conelines.mod2 import Mod2Vector, all_residues, q0
+from conelines.translations import coset_representative, shell_classes
 
 
 def main() -> int:
@@ -25,17 +24,11 @@ def main() -> int:
 
     sextic = SexticType.from_key(args.type)
     lattice = build_lattice(sextic)
-    shell = vectors_with_norm_at_least(lattice, args.floor)
-    print(f"type {sextic.key}: {len(shell)} vectors with self-pairing >= {args.floor}")
-
-    hits: Counter[tuple[int, tuple[int, ...]]] = Counter()
-    parity_violations = 0
-    for w in shell:
-        mu = (norm(lattice, w) // 2) % 2
-        rep = coset_representative(reduce_mod2(lattice, w))
-        hits[(mu, rep.bits)] += 1
-        if mu != q0(rep):
-            parity_violations += 1
+    hits = shell_classes(lattice, args.floor)
+    print(f"type {sextic.key}: {hits.total()} vectors with self-pairing >= {args.floor}")
+    parity_violations = sum(
+        count for (mu, bits), count in hits.items() if mu != q0(Mod2Vector(bits, lattice))
+    )
 
     reps = {coset_representative(x).bits for x in all_residues(lattice)}
     print(f"cosets: {len(reps)}, (fiber bit, coset) pairs attained: {len(hits)} of {2 * len(reps)}")

@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .intlinalg import Matrix
-from .lattices import SurfaceType, UnsupportedTypeError, build_lattice
+from .intlinalg import Matrix, solve_left
+from .lattices import GeometricLattice, SurfaceType, UnsupportedTypeError, Vec, build_lattice
 from .mapping_class import (
     ModSElement,
+    _pendant_oval,
     split_twist,
     translation_analysis,
     translation_class,
@@ -226,15 +227,12 @@ class LineClassCount:
         return tuple(out)
 
 
-def split_twist_preimage(lattice, i: int):
+def split_twist_preimage(lattice: GeometricLattice, i: int) -> Vec:
     """A lattice vector whose translation is the split twist at oval i.
 
     Either a pendant bridge of the basis, or the root with the matching
     pairing profile when the basis has no pendant at that oval.
     """
-    from .intlinalg import solve_left
-    from .mapping_class import _pendant_oval
-
     surface = lattice.sextic.surface()
     for j in lattice.bridge_indices:
         if _pendant_oval(lattice, j) == i:
@@ -244,7 +242,8 @@ def split_twist_preimage(lattice, i: int):
     sol = solve_left([list(r) for r in lattice.gram], target)
     if sol is None:
         raise UnsupportedTypeError(f"no split-twist preimage at oval {i} on {surface}")
-    assert translation_class(lattice, sol) == split_twist(surface, i)
+    if translation_class(lattice, sol) != split_twist(surface, i):
+        raise RuntimeError(f"solved preimage at oval {i} on {surface} is not the split twist")
     return sol
 
 

@@ -13,6 +13,7 @@ constraint.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +28,7 @@ from .lattices import (
     pair,
     vadd,
     smul,
+    vectors_with_norm_at_least,
 )
 from .mod2 import Bits, Mod2Vector, mod2_pair, q0, radical_elements, reduce_mod2
 
@@ -51,6 +53,18 @@ def _least_in_coset(lattice: GeometricLattice, bits: Bits) -> Mod2Vector:
     """The minimum over the radical, computed once per residue (at most 2^8)."""
     x = Mod2Vector(bits, lattice)
     return min((x + r for r in radical_elements(lattice)), key=lambda y: y.bits)
+
+
+def shell_classes(lattice: GeometricLattice, floor: int) -> Counter[tuple[int, Bits]]:
+    """How many vectors of self-pairing >= floor reduce to each class.
+
+    A class is the fiber bit (half the self-pairing, mod 2) with the bits
+    of the coset representative of the vector's mod-2 reduction.
+    """
+    return Counter(
+        ((norm(lattice, w) // 2) % 2, coset_representative(reduce_mod2(lattice, w)).bits)
+        for w in vectors_with_norm_at_least(lattice, floor)
+    )
 
 
 @dataclass(frozen=True)

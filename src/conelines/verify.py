@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .homology_action import (
     H1Delta,
@@ -41,11 +41,9 @@ from .lattices import (
     build_lattice,
     enumerate_roots,
     line_class_on_X,
-    norm,
     pair,
     pairing_x,
     vadd,
-    vectors_with_norm_at_least,
 )
 from .mapping_class import (
     ModSElement,
@@ -58,13 +56,14 @@ from .mapping_class import (
     translation_analysis,
     translation_class,
 )
-from .mod2 import all_residues, q0, reduce_mod2, strata_profile
+from .mod2 import Mod2Vector, all_residues, q0, reduce_mod2, strata_profile
 from .translations import (
     H1Mod2Class,
     conic_count,
     coset_representative,
     mw_act_h1_mod2,
     mw_act_h2,
+    shell_classes,
 )
 from .tritangents import (
     TritangentType,
@@ -646,32 +645,19 @@ def _criterion_8(rng: random.Random) -> list[CheckResult]:
 
 def _criterion_9(rng: random.Random) -> list[CheckResult]:
     """Brute-force realizability sweeps."""
-    import numpy as np
-
     results: list[CheckResult] = []
 
     e8 = build_lattice(SexticType(4, 0))
-    shell = vectors_with_norm_at_least(e8, -8)
-    _eq(results, "9.shell-size 4|0", len(shell), 26641)
-    parity_ok = True
-    attained: set[tuple[int, tuple[int, ...]]] = set()
-    for w in shell:
-        mu = (norm(e8, w) // 2) % 2
-        rep = coset_representative(reduce_mod2(e8, w))
-        if mu != q0(rep):
-            parity_ok = False
-        attained.add((mu, rep.bits))
+    hits = shell_classes(e8, -8)
+    _eq(results, "9.shell-size 4|0", hits.total(), 26641)
+    parity_ok = all(mu == q0(Mod2Vector(bits, e8)) for mu, bits in hits)
     _true(results, "9.parity-forced 4|0", parity_ok)
     wanted = {(q0(v), v.bits) for v in all_residues(e8)}
-    _eq(results, "9.classes-attained 4|0", len(attained), 256)
-    _eq(results, "9.classes-attained-set 4|0", attained, wanted)
+    _eq(results, "9.classes-attained 4|0", len(hits), 256)
+    _eq(results, "9.classes-attained-set 4|0", set(hits), wanted)
 
     d6 = build_lattice(SexticType(2, 0))
-    shell6 = vectors_with_norm_at_least(d6, -8)
-    attained6 = {
-        ((norm(d6, w) // 2) % 2, coset_representative(reduce_mod2(d6, w)).bits)
-        for w in shell6
-    }
+    attained6 = set(shell_classes(d6, -8))
     reps6 = {coset_representative(v).bits for v in all_residues(d6)}
     _eq(results, "9.classes-attained 2|0", len(attained6), 32)
     _eq(
@@ -682,35 +668,32 @@ def _criterion_9(rng: random.Random) -> list[CheckResult]:
     )
 
     # Exhaustive obstruction-versus-membership sweep on the four-handle
-    # surface: all 16 half-twist patterns x 5^4 fiber x 5^4 split twists.
+    # surface: all 16 half-twist patterns x 5^4 fiber twists n x 5^4 split
+    # twists m.  This relies on each route being a term in n plus a term in
+    # m: with N the parity tally of (membership - obstruction) n-terms over
+    # the 625 n, and M that of (obstruction - membership) m-terms over the
+    # 625 m, the routes disagree on N0*M1 + N1*M0 cells of the grid.
     surface = SurfaceType(4, 0)
-    span = np.arange(-2, 3)
-    grids = np.array(list(product(span, span, span, span)), dtype=np.int64)  # (625, 4)
-    n_total = grids.sum(axis=1)
-    n_cumsum = np.cumsum(grids, axis=1)
-    m_grid = grids
-    agree = True
+    grid = list(product(range(-2, 3), repeat=4))
     mismatches = 0
     for kappa in product((0, 1), repeat=4):
-        ka = np.array(kappa, dtype=np.int64)
-        # membership route: parity of drift-coordinate data
-        drift = ka[None, :] + 2 * n_cumsum - n_total[:, None]
-        eps = n_total % 2
-        route_b = (drift.sum(axis=1) + eps)[:, None] + (m_grid[:, 1] + m_grid[:, 3])[None, :]
-        # obstruction route: forced fiber bit against the stored one
-        fiber_bit = n_total[:, None] + (m_grid * (1 - ka)[None, :]).sum(axis=1)[None, :]
-        forced = (
-            m_grid[:, 0]
-            + m_grid[:, 2]
-            + (m_grid * ka[None, :]).sum(axis=1)
-            + ka.sum()
-        )[None, :]
-        route_a = fiber_bit + forced
-        same = (route_b % 2 == 0) == (route_a % 2 == 0)
-        if not same.all():
-            agree = False
-            mismatches += int((~same).sum())
-    _true(results, "9.obstruction-membership-sweep K#4T2", agree, f"mismatching normal forms: {mismatches}")
+        n_parity = Counter()
+        for n in grid:
+            n_total = sum(n)
+            # membership route: parity of drift-coordinate data
+            drift = sum(k + 2 * c - n_total for k, c in zip(kappa, accumulate(n)))
+            eps = n_total % 2
+            # obstruction route: the fiber twists' share of the stored fiber bit
+            n_parity[(drift + eps - n_total) % 2] += 1
+        m_parity = Counter()
+        for m in grid:
+            # obstruction route: forced fiber bit against the stored one
+            fiber_bit = sum(mm * (1 - k) for mm, k in zip(m, kappa))
+            forced = m[0] + m[2] + sum(mm * k for mm, k in zip(m, kappa)) + sum(kappa)
+            # membership route: the split twists' share
+            m_parity[(fiber_bit + forced - (m[1] + m[3])) % 2] += 1
+        mismatches += n_parity[0] * m_parity[1] + n_parity[1] * m_parity[0]
+    _true(results, "9.obstruction-membership-sweep K#4T2", mismatches == 0, f"mismatching normal forms: {mismatches}")
 
     spot_ok = True
     for _ in range(200):

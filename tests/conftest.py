@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import conelines
 from conelines.lattices import ALL_SEXTIC_TYPES, SexticType, build_lattice
 
 TYPE_KEYS = tuple(s.key for s in ALL_SEXTIC_TYPES)
@@ -24,3 +28,9 @@ def d4_band():
 
 def lattice_for(key: str):
     return build_lattice(SexticType.from_key(key))
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH, for subprocesses."""
+    src = str(Path(conelines.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}

@@ -1,19 +1,16 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
-
-import conelines
 
 from conelines import cli
 from conelines.homology_action import class_of_section
 from conelines.lattices import SexticType, build_lattice
 from conelines.mapping_class import translation_class
+from conftest import src_env
 
 
 def run(capsys, *argv):
@@ -190,13 +187,11 @@ def test_bad_output_path_is_a_usage_error(capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(conelines.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run(
         [sys.executable, "-m", "conelines", "tables", "line-classes"],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=120,
     )
     assert done.returncode == 0, done.stderr

@@ -1,5 +1,6 @@
 """Integer linear algebra cross-checked against sympy."""
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from conelines.intlinalg import (
     smith_normal_form,
     solve_left,
 )
+from conelines.mapping_class import _image_matrix
+from conftest import TYPE_KEYS, lattice_for
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -46,13 +49,29 @@ def test_smith_decomposition_is_exact(a):
             assert nxt == 0
 
 
+def _nonzero_invariants(a):
+    """The nonzero invariant factors of a, from this package and from sympy."""
+    ours = sorted(d for d in smith_normal_form(a).diagonal if d)
+    m = sympy_snf(sympy.Matrix(a))
+    theirs = sorted(abs(m[i, i]) for i in range(min(m.shape)) if m[i, i])
+    return ours, theirs
+
+
 @given(small_matrix)
 @settings(max_examples=120)
 def test_smith_invariants_match_sympy(a):
-    ours = [d for d in smith_normal_form(a).diagonal if d]
-    m = sympy_snf(sympy.Matrix(a))
-    theirs = sorted(abs(m[i, i]) for i in range(min(m.shape)) if m[i, i])
-    assert sorted(ours) == theirs
+    ours, theirs = _nonzero_invariants(a)
+    assert ours == theirs
+
+
+@pytest.mark.parametrize("key,star", [(k, 0) for k in TYPE_KEYS] + [("|||", 1)])
+def test_smith_invariants_match_sympy_on_translation_and_gram_matrices(key, star):
+    lattice = lattice_for(key)
+    _, rows = _image_matrix(lattice, star)
+    ours, theirs = _nonzero_invariants(rows)
+    assert ours == theirs
+    ours, theirs = _nonzero_invariants([list(r) for r in lattice.gram])
+    assert ours == theirs
 
 
 @given(small_matrix)

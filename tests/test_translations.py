@@ -1,5 +1,9 @@
 """The unipotent action on homology and its mod-2 shadow."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +17,7 @@ from conelines.lattices import (
     line_class_on_X,
     pairing_x,
     vadd,
+    vectors_with_norm_at_least,
 )
 from conelines.mod2 import q0, reduce_mod2, zero_residue
 from conelines.translations import (
@@ -23,7 +28,7 @@ from conelines.translations import (
     mw_act_h2,
     realizable_mod2,
 )
-from conftest import TYPE_KEYS, lattice_for
+from conftest import TYPE_KEYS, lattice_for, src_env
 
 ACT_KEYS = ("4|0", "3|0", "2|0", "1|1", "0|2")
 
@@ -146,3 +151,19 @@ def test_coset_representative_is_lexicographically_least(key):
     for x in all_residues(lattice):
         rep = coset_representative(x)
         assert min((x + r).bits for r in radical) == rep.bits
+
+@pytest.mark.parametrize("key", ["1|1", "4|0"])
+def test_scan_realizability_script(key):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "scan_realizability.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--type", key, "--floor", "-4"],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    size = len(vectors_with_norm_at_least(lattice_for(key), -4))
+    assert lines[0] == f"type {key}: {size} vectors with self-pairing >= -4"
+    assert "vectors whose fiber bit disagrees with the refinement: 0" in lines
