@@ -8,7 +8,9 @@ section; the difference of their classes is a small datum (a fiber bit
 plus one integer and one bit per handle) which determines the full action
 matrix in block-triangular form, the group law on section differences,
 and the parity obstruction singling out the classes realizable by real
-lines on the two constrained surface types.
+lines.  ``realizable_mod2`` forces the fiber bit on three surfaces,
+K#4T2, K#T2+S2 and K+4S2; ``obstruction_kappa`` writes it in closed form
+on the first two.
 """
 
 from __future__ import annotations
@@ -186,8 +188,11 @@ def mw_sum(surface: SurfaceType, d1: H1Delta, d2: H1Delta) -> H1Delta:
 def obstruction_kappa(surface: SurfaceType, m: tuple[int, ...], k: tuple[int, ...]) -> int:
     """Forced fiber bit of a section difference realizable by a real line.
 
-    Only two surface types constrain the fiber coefficient: the
-    four-handle one and the one-handle-plus-sphere one.
+    Three surface types constrain the fiber coefficient (see
+    ``translations.realizable_mod2``): K#4T2, K#T2+S2 and K+4S2.  This
+    closed form covers the first two and raises ``UnsupportedTypeError``
+    on every other surface, K+4S2 included: there the bit is forced, but
+    a section difference carries no handle data to write it in.
     """
     p = surface.handles
     if len(m) != p or len(k) != p:

@@ -182,16 +182,19 @@ def row_hermite_form(a: Matrix) -> HNFResult:
     return HNFResult(h, u)
 
 
+def hermite_rows(a: Matrix) -> tuple[tuple[int, ...], ...]:
+    """The nonzero rows of the row Hermite form of ``a``, as tuples."""
+    if not a:
+        return ()
+    return tuple(tuple(row) for row in row_hermite_form(a).h if any(row))
+
+
 def left_kernel_basis(a: Matrix) -> tuple[tuple[int, ...], ...]:
     """Basis (in Hermite form) of {x : x A = 0} as rows of length len(a)."""
     if not a:
         return ()
     res = smith_normal_form(a)
-    rows = [res.u[i] for i in range(res.rank, len(a))]
-    if not rows:
-        return ()
-    reduced = row_hermite_form(rows)
-    return tuple(tuple(row) for row in reduced.h if any(row))
+    return hermite_rows(res.u[res.rank :])
 
 
 def solve_left(a: Matrix, b: list[int] | tuple[int, ...]) -> tuple[int, ...] | None:

@@ -114,9 +114,7 @@ class SexticType:
 
     def surface(self) -> "SurfaceType":
         """Real locus of the elliptic surface attached to this sextic type."""
-        if self.bands:
-            return SurfaceType(0, 0, double_klein=True)
-        return SurfaceType(self.pos_ovals, self.neg_ovals)
+        return SurfaceType(self.pos_ovals, self.neg_ovals, self.bands)
 
 
 ALL_SEXTIC_TYPES: tuple[SexticType, ...] = tuple(
@@ -140,14 +138,11 @@ class SurfaceType:
     double_klein: bool = False
 
     def __post_init__(self) -> None:
-        if self.double_klein:
-            if self.handles or self.spheres:
-                raise ValueError("the two-Klein-bottle locus has no extra summands")
-            return
-        p, q = self.handles, self.spheres
-        ok = (q == 0 and 0 <= p <= 4) or (p == 0 and 0 <= q <= 4) or (p == q == 1)
-        if not ok:
-            raise ValueError(f"no such surface type: handles={p}, spheres={q}")
+        # The same validity rule as the sextic's, under the surface's name.
+        try:
+            self.sextic()
+        except ValueError:
+            raise ValueError(f"no such surface type: {self!r}") from None
 
     @property
     def key(self) -> str:
@@ -177,9 +172,7 @@ class SurfaceType:
 
     def sextic(self) -> SexticType:
         """The sextic type whose del Pezzo surface has this real elliptic locus."""
-        if self.double_klein:
-            return SexticType(0, 0, bands=True)
-        return SexticType(self.handles, self.spheres)
+        return SexticType(self.handles, self.spheres, self.double_klein)
 
 
 ALL_SURFACE_TYPES: tuple[SurfaceType, ...] = tuple(s.surface() for s in ALL_SEXTIC_TYPES)
@@ -265,45 +258,18 @@ _GRAPHS: dict[str, tuple[tuple[str, ...], tuple[tuple[int, int], ...], tuple[int
         (),
         "D4",
     ),
+    # 0|q: 4 - q pairwise orthogonal bridge classes only.
+    **{
+        f"0|{q}": (tuple(f"B{i + 1}" for i in range(4 - q)), (), (), f"{4 - q}A1" if q < 4 else "0")
+        for q in range(5)
+    },
 }
-
-# Deliberate-defect hook for the self-check pipeline: "gram" corrupts one
-# adjacency of the rank-8 lattice, which must make the censuses fail.
-_FAULT: str | None = None
-
-KNOWN_FAULTS = ("gram",)
-
-
-def set_fault(tag: str | None) -> None:
-    """Install (or clear) a deliberate defect; test hook only."""
-    global _FAULT
-    if tag is not None and tag not in KNOWN_FAULTS:
-        raise ValueError(f"unknown fault tag {tag!r}; known: {KNOWN_FAULTS}")
-    _FAULT = tag
-
-
-def build_lattice(sextic: SexticType) -> GeometricLattice:
-    """The geometric root lattice of a sextic type, in its normative basis."""
-    return _build(sextic, _FAULT)
 
 
 @lru_cache(maxsize=None)
-def _build(sextic: SexticType, fault: str | None) -> GeometricLattice:
-    if not sextic.bands and sextic.pos_ovals == 0:
-        # 0|q: pairwise orthogonal bridge classes only.
-        n = 4 - sextic.neg_ovals
-        return GeometricLattice(
-            name=f"{n}A1" if n else "0",
-            sextic=sextic,
-            basis_names=tuple(f"B{i + 1}" for i in range(n)),
-            edges=(),
-            oval_indices=(),
-            bridge_indices=tuple(range(n)),
-        )
-
+def build_lattice(sextic: SexticType) -> GeometricLattice:
+    """The geometric root lattice of a sextic type, in its normative basis."""
     names, edges, ovals, name = _GRAPHS[sextic.key]
-    if fault == "gram" and sextic.key == "4|0":
-        edges = edges[1:]  # drop the O1-B12 adjacency
     return GeometricLattice(
         name=name,
         sextic=sextic,

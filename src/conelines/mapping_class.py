@@ -27,10 +27,10 @@ from operator import add, mul
 from .intlinalg import (
     GroupInvariants,
     Matrix,
+    hermite_rows,
     in_rowspan,
     left_kernel_basis,
     quotient_invariants,
-    row_hermite_form,
 )
 from .lattices import (
     GeometricLattice,
@@ -438,10 +438,7 @@ def _image_matrix(lattice: GeometricLattice, star: int) -> tuple[int, Matrix]:
 def _analysis(lattice: GeometricLattice, star: int) -> TranslationAnalysis:
     dim, stacked = _image_matrix(lattice, star)
     full_kernel = left_kernel_basis(stacked)
-    trimmed = [list(row[: lattice.rank]) for row in full_kernel]
-    trimmed = [row for row in trimmed if any(row)]
-    reduced = row_hermite_form(trimmed)
-    kernel = tuple(tuple(row) for row in reduced.h if any(row))
+    kernel = hermite_rows([row[: lattice.rank] for row in full_kernel])
     image = quotient_invariants(lattice.rank, [list(r) for r in kernel])
     cokernel = quotient_invariants(dim, stacked)
     return TranslationAnalysis(lattice.sextic.surface(), kernel, image, cokernel)

@@ -32,7 +32,7 @@ from .homology_action import (
     section_delta,
     vanishing_orbit,
 )
-from .intlinalg import row_hermite_form
+from .intlinalg import hermite_rows
 from .lattices import (
     ALL_SEXTIC_TYPES,
     H2ClassX,
@@ -418,13 +418,6 @@ def _criterion_4() -> list[CheckResult]:
     return results
 
 
-def _hnf(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    if not rows:
-        return ()
-    result = row_hermite_form([list(r) for r in rows])
-    return tuple(tuple(r) for r in result.h if any(r))
-
-
 def _analysis_row(surface: SurfaceType, star: int = 0):
     lattice = build_lattice(surface.sextic())
     analysis = translation_analysis(lattice, star)
@@ -448,15 +441,15 @@ def _criterion_5() -> list[CheckResult]:
         _eq(
             results,
             f"5.kernel {key}",
-            _hnf(analysis.kernel_basis),
-            _hnf(_KERNEL_GENERATORS[key]),
+            hermite_rows(analysis.kernel_basis),
+            hermite_rows(_KERNEL_GENERATORS[key]),
         )
     # The choice of where the component swap sends the reference section
     # must not change any of the two-Klein-bottle conclusions.
     rows = []
     for star in (0, 1):
         row, analysis = _analysis_row(SurfaceType(0, 0, double_klein=True), star)
-        rows.append((row, _hnf(analysis.kernel_basis)))
+        rows.append((row, hermite_rows(analysis.kernel_basis)))
     _eq(results, "5.swap-choice-invariance K+K", rows[0], rows[1])
     return results
 

@@ -1,9 +1,10 @@
 """Acceptance gate: one test per numbered criterion, exact comparisons only.
 
 Criteria 1-11 share a single deterministic verification run; criterion 12
-drives the command-line entry point itself, including the fault hook.
+drives the command-line entry point itself, including `verify --fault`.
 """
 
+import hashlib
 import subprocess
 import sys
 
@@ -12,6 +13,11 @@ import pytest
 from conelines import cli
 from conelines.verify import run_all
 from conftest import src_env
+
+#: sha256 of the markdown reports of ``verify`` and ``verify --fault gram``
+#: at the default seed: the reports are byte-identical from run to run.
+CLEAN_REPORT_SHA256 = "7b4e249a44bc253096ed1c94818d42c59f2977ce7acd24868905ee4f109f5b67"
+HURT_REPORT_SHA256 = "a6b73943a77c5d34b0c84f18351362c961f85e0007598f630cf46682d1ec0f59"
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +91,8 @@ def test_criterion_12_cli_self_check(tmp_path, capsys):
     assert "FAIL" not in clean
     assert "| FAIL |" in hurt
     assert "FAIL" not in after
+    for name, sha256 in (("clean.md", CLEAN_REPORT_SHA256), ("hurt.md", HURT_REPORT_SHA256)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256, name
 
 
 def test_verify_runs_without_numpy():

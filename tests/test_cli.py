@@ -79,10 +79,29 @@ def test_classify_rejects_unknown_types(capsys):
     assert code == 2
 
 
-def test_unknown_selector_is_a_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["tables", "nope"])
-    assert exc.value.code == 2
+def test_unknown_selector_is_a_usage_error(capsys):
+    for argv in (
+        ["tables", "nope"],
+        # --fault is an option of verify only
+        ["tables", "all", "--fault", "gram"],
+        ["classify", "4|0", "--fault", "gram"],
+        ["act", "K#T2", "0,1,0,0,0", "0,0,0,1", "--fault", "gram"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        assert "usage:" in capsys.readouterr().err, argv
+
+
+def test_gram_fault_restores_a_clean_e8_when_its_body_raises():
+    before = build_lattice(SexticType(4, 0))
+    with pytest.raises(RuntimeError):
+        with cli.gram_fault():
+            assert len(build_lattice(SexticType(4, 0)).edges) == 6
+            raise RuntimeError("the body failed")
+    after = build_lattice(SexticType(4, 0))
+    assert len(after.edges) == 7
+    assert after == before
 
 
 def test_act_identity_fixes_classes(capsys):

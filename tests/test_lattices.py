@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conelines.cli import gram_fault
 from conelines.lattices import (
     ALL_SEXTIC_TYPES,
-    _build,
     SexticType,
     SurfaceType,
     base_line_class_x,
@@ -109,7 +109,8 @@ def test_pairing_is_symmetric_and_bilinear(data):
     assert norm(lattice, v) == pair(lattice, v, v)
 
 
-FAULTED_E8 = _build(SexticType(4, 0), "gram")
+with gram_fault():
+    FAULTED_E8 = build_lattice(SexticType(4, 0))
 
 
 @pytest.mark.parametrize(
@@ -252,6 +253,9 @@ def test_unknown_keys_are_rejected():
     for key in ("K#5T2", "K#1T2", "K#0T2", "K+1S2", "K+0S2"):
         with pytest.raises(ValueError):
             SurfaceType.from_key(key)
+    for handles, spheres, double_klein in ((5, 0, False), (1, 0, True)):
+        with pytest.raises(ValueError, match="no such surface type"):
+            SurfaceType(handles, spheres, double_klein)
 
 
 def test_section_classes_self_pair_to_minus_one(e8):

@@ -25,6 +25,7 @@ from conelines.mapping_class import (
     swap_components,
     translation_class,
 )
+from conelines.verify import _KERNEL_GENERATORS
 from conftest import TYPE_KEYS, lattice_for
 
 SURFACES = tuple(SexticType.from_key(k).surface() for k in TYPE_KEYS)
@@ -115,6 +116,15 @@ def test_kernel_membership_means_trivial_class(data):
     surface = lattice.sextic.surface()
     trivial = translation_class(lattice, v) == mods_identity(surface)
     assert in_translation_kernel(lattice, v) == trivial
+
+
+@pytest.mark.parametrize("key", TYPE_KEYS)
+def test_frozen_kernel_generators_translate_trivially(key):
+    # Witness for the frozen kernel HNFs from outside the Smith/Hermite code
+    # that found them: each generator must act as the identity.
+    lattice = lattice_for(key)
+    for row in _KERNEL_GENERATORS[key]:
+        assert in_translation_kernel(lattice, row), row
 
 
 def _unit(lattice, j):

@@ -67,6 +67,49 @@ def test_radical_size_matches_the_smith_form(key):
     assert len(radical_elements(lattice)) == 2**even
 
 
+def _odd_count_from_arf(lattice):
+    """|V1| from the Arf invariant of q0 on V/R, with no census of V.
+
+    If q0 is nonzero on the radical R, it is a nonzero linear form on each
+    coset of R, hence odd on exactly half of V.  Otherwise q0 descends to
+    the nondegenerate space V/R of dimension k, where a symplectic basis
+    (e_i, f_i) gives Arf = sum q0(e_i) q0(f_i) and the classical count
+    (2^k - (-1)^Arf 2^(k/2)) / 2 of odd classes, lifted |R| times.
+    """
+    n, radical = lattice.rank, radical_elements(lattice)
+    if any(q0(r) for r in radical):
+        return 2 ** (n - 1)
+    pool = [reduce_mod2(lattice, tuple(int(i == j) for j in range(n))) for i in range(n)]
+    zero = zero_residue(lattice)
+    arf = k = 0
+    while True:
+        hyperbolic = next(((e, f) for e in pool for f in pool if mod2_pair(e, f)), None)
+        if hyperbolic is None:
+            break
+        e, f = hyperbolic
+        arf ^= q0(e) & q0(f)
+        k += 2
+        # project onto the orthogonal complement of the plane <e, f>
+        pool = [
+            x + (e if mod2_pair(x, f) else zero) + (f if mod2_pair(x, e) else zero)
+            for x in pool
+        ]
+    # what is left spans the radical
+    assert len(radical) == 2 ** (n - k)
+    return len(radical) * (2**k - (-1) ** arf * 2 ** (k // 2)) // 2
+
+
+@pytest.mark.parametrize("key", TYPE_KEYS)
+def test_odd_stratum_size_matches_the_arf_invariant(key):
+    lattice = lattice_for(key)
+    assert _odd_count_from_arf(lattice) == strata_profile(lattice).size_v1
+
+
+def test_arf_counts_of_the_named_lattices():
+    counts = {key: _odd_count_from_arf(lattice_for(key)) for key in ("4|0", "1|1", "|||", "0|4")}
+    assert counts == {"4|0": 120, "1|1": 12, "|||": 12, "0|4": 0}
+
+
 def test_radical_sizes_match_profile():
     for key in TYPE_KEYS:
         lattice = lattice_for(key)
