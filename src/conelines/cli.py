@@ -25,7 +25,7 @@ from contextlib import contextmanager, nullcontext
 from typing import Iterator, Sequence
 
 from . import __version__, lattices
-from .homology_action import H1Class, action_matrix, section_delta
+from .homology_action import H1Class, action_matrix, class_coords, section_delta
 from .lattices import SexticType, SurfaceType, UnsupportedTypeError, build_lattice
 from .mapping_class import ModSElement, translation_class
 from .mod2 import Mod2Vector
@@ -138,14 +138,6 @@ def _fmt_mods(g: ModSElement) -> str:
     if g.surface.handles == 0:
         return f"fiber={g.fiber_twists}"
     return f"half={g.half_twists} fiber={g.fiber_twists} split={g.split_twists}"
-
-
-def _class_coords(x: H1Class) -> tuple[int, ...]:
-    coords = [x.fiber_bit]
-    for b, o in x.pairs:
-        coords.extend((b, o))
-    coords.append(x.line_coeff)
-    return tuple(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +280,8 @@ def cmd_act(
         y = matrix.apply(x)
         for i, matrix_row in enumerate(matrix.entries):
             rows.append((f"matrix[{i}]", str(tuple(matrix_row))))
-        rows.append(("class in", str(_class_coords(x))))
-        rows.append(("class out", str(_class_coords(y))))
+        rows.append(("class in", str(class_coords(x))))
+        rows.append(("class out", str(class_coords(y))))
 
     report = Report(
         title=f"translation action on {surface.key}",

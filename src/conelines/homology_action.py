@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .intlinalg import Matrix, solve_left
+from .intlinalg import Matrix, mat_mul, solve_left
 from .lattices import GeometricLattice, SurfaceType, UnsupportedTypeError, Vec, build_lattice
 from .mapping_class import (
     ModSElement,
@@ -47,6 +47,11 @@ class H1Class:
     def __post_init__(self) -> None:
         if self.fiber_bit not in (0, 1):
             raise ValueError("the fiber coefficient is 2-torsion: expected a bit")
+
+
+def class_coords(x: H1Class) -> tuple[int, ...]:
+    """Coordinates of x in the basis order of ``H1ActionMatrix``."""
+    return (x.fiber_bit, *(c for pair in x.pairs for c in pair), x.line_coeff)
 
 
 @dataclass(frozen=True)
@@ -116,10 +121,7 @@ class H1ActionMatrix:
 
     def apply(self, x: H1Class) -> H1Class:
         p = self.surface.handles
-        coords = [x.fiber_bit]
-        for b, o in x.pairs:
-            coords.extend((b, o))
-        coords.append(x.line_coeff)
+        coords = class_coords(x)
         if len(coords) != 2 * p + 2:
             raise ValueError("class has the wrong number of handles for this surface")
         out = [sum(row[j] * coords[j] for j in range(len(coords))) for row in self.entries]
@@ -158,11 +160,7 @@ def action_mul(a: H1ActionMatrix, b: H1ActionMatrix) -> H1ActionMatrix:
     """Matrix product, reducing the torsion row mod 2."""
     if a.surface != b.surface:
         raise ValueError("matrices act on different surfaces")
-    n = len(a.entries)
-    prod = [
-        [sum(a.entries[i][k] * b.entries[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    prod = mat_mul([list(r) for r in a.entries], [list(r) for r in b.entries])
     prod[0] = [x % 2 for x in prod[0]]
     return H1ActionMatrix(a.surface, tuple(tuple(row) for row in prod))
 
@@ -203,7 +201,7 @@ def obstruction_kappa(surface: SurfaceType, m: tuple[int, ...], k: tuple[int, ..
         return (m[0] + m[2] + sum(mi * ki for mi, ki in zip(m, k)) + sum(k)) % 2
     if not surface.double_klein and (p, surface.spheres) == (1, 1):
         return 1 if k[0] == 1 else m[0] % 2
-    raise UnsupportedTypeError(f"{surface} puts no parity constraint on section classes")
+    raise UnsupportedTypeError(f"no closed form for the forced fiber bit on {surface}")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,11 @@ Everything here works over the integers with explicit unimodular
 transforms, which is what the mapping-class computations need: left
 kernels of generator matrices, membership in row spans with exact
 divisibility conditions, and invariant factors of finitely generated
-quotients.  Matrices are plain lists of lists of ints; sizes in this
-package stay in the single digits, so clarity beats asymptotics.
+quotients.  ``row_hermite_form`` is the only elimination routine: the
+left kernel and row-span solves read off its transform, and the Smith
+form alternates Hermite forms of a matrix and of its transpose.
+Matrices are plain lists of lists of ints; sizes in this package stay
+in the single digits, so clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -53,84 +56,37 @@ class SNFResult:
         return sum(1 for d in self.diagonal if d != 0)
 
 
+def _transpose(a: Matrix, width: int) -> Matrix:
+    """The transpose of ``a``, which has ``width`` columns (kept when ``a`` has no rows)."""
+    return [[row[j] for row in a] for j in range(width)]
+
+
 def smith_normal_form(a: Matrix) -> SNFResult:
+    """Alternate row Hermite forms of S and of its transpose until S is diagonal.
+
+    Each pass leaves S lower triangular on its leading rank x rank block
+    with positive pivots; a diagonal pair that breaks divisibility gets
+    the later column added into the earlier one, and the passes resume
+    (Kannan and Bachem, SIAM J. Comput. 8(4), 1979).
+    """
     m = len(a)
     n = len(a[0]) if m else 0
-    s = [list(row) for row in a]
-    u = identity_matrix(m)
-    v = identity_matrix(n)
-
-    def swap_rows(i: int, j: int) -> None:
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i: int, j: int, c: int) -> None:  # row i += c * row j
-        s[i] = [x + c * y for x, y in zip(s[i], s[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i: int, j: int, c: int) -> None:  # col i += c * col j
-        for row in s:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
-
-    def diagonalize() -> None:
-        t = 0
-        while t < min(m, n):
-            pivot = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if s[i][j] and (
-                        pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])
-                    ):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
-            while True:
-                dirty = False
-                for i in range(t + 1, m):
-                    if s[i][t]:
-                        add_row(i, t, -(s[i][t] // s[t][t]))
-                        if s[i][t]:
-                            swap_rows(t, i)
-                            dirty = True
-                for j in range(t + 1, n):
-                    if s[t][j]:
-                        add_col(j, t, -(s[t][j] // s[t][t]))
-                        if s[t][j]:
-                            swap_cols(t, j)
-                            dirty = True
-                if not dirty:
-                    break
-            t += 1
-        for i in range(min(m, n)):
-            if s[i][i] < 0:
-                s[i] = [-x for x in s[i]]
-                u[i] = [-x for x in u[i]]
-
-    diagonalize()
+    s, u, v = a, identity_matrix(m), identity_matrix(n)
     while True:
-        bad = None
-        diag = [s[i][i] for i in range(min(m, n))]
-        for t in range(len(diag) - 1):
-            if diag[t] and diag[t + 1] % diag[t] != 0:
-                bad = t
-                break
+        rows = row_hermite_form(s)
+        cols = row_hermite_form(_transpose(rows.h, n))
+        s = _transpose(cols.h, m)
+        u = mat_mul(rows.u, u)
+        v = mat_mul(v, _transpose(cols.u, n))
+        if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
+            continue
+        bad = next(
+            (t for t in range(min(m, n) - 1) if s[t][t] and s[t + 1][t + 1] % s[t][t]), None
+        )
         if bad is None:
-            break
-        # Fold the offending entry into the earlier column and rediagonalize;
-        # the gcd at the earlier pivot strictly divides down, so this ends.
-        add_col(bad, bad + 1, 1)
-        diagonalize()
-    return SNFResult(s, u, v)
+            return SNFResult(s, u, v)
+        for row in s + v:
+            row[bad] += row[bad + 1]
 
 
 @dataclass(frozen=True)
@@ -190,34 +146,36 @@ def hermite_rows(a: Matrix) -> tuple[tuple[int, ...], ...]:
 
 
 def left_kernel_basis(a: Matrix) -> tuple[tuple[int, ...], ...]:
-    """Basis (in Hermite form) of {x : x A = 0} as rows of length len(a)."""
-    if not a:
-        return ()
-    res = smith_normal_form(a)
+    """Basis (in Hermite form) of {x : x A = 0} as rows of length len(a).
+
+    U is unimodular, so its rows that U A = H sends to zero rows span the
+    left kernel (Cohen, GTM 138, section 2.4).
+    """
+    res = row_hermite_form(a)
     return hermite_rows(res.u[res.rank :])
 
 
 def solve_left(a: Matrix, b: list[int] | tuple[int, ...]) -> tuple[int, ...] | None:
-    """An integer solution x of x A = b, or None if none exists."""
+    """An integer solution x of x A = b, or None if none exists.
+
+    Peels b off the pivots of U A = H from left to right; b = y H, and
+    x = y U, iff nothing is left.  A remainder at a pivot stays in the
+    leftover, since later rows of H vanish in that column.
+    """
     m = len(a)
     n = len(a[0]) if m else 0
     if len(b) != n:
         raise ValueError("right-hand side has wrong length")
-    if m == 0:
-        return () if not any(b) else None
-    res = smith_normal_form(a)
-    c = [sum(b[k] * res.v[k][j] for k in range(n)) for j in range(n)]
+    res = row_hermite_form(a)
+    rest = list(b)
     y = [0] * m
-    for j in range(n):
-        d = res.s[j][j] if j < min(m, n) else 0
-        if d:
-            if c[j] % d:
-                return None
-            y[j] = c[j] // d
-        elif c[j]:
-            return None
-    x = [sum(y[k] * res.u[k][j] for k in range(m)) for j in range(m)]
-    return tuple(x)
+    for i, row in enumerate(res.h[: res.rank]):
+        c = next(j for j, x in enumerate(row) if x)
+        y[i] = rest[c] // row[c]
+        rest = [x - y[i] * h for x, h in zip(rest, row)]
+    if any(rest):
+        return None
+    return tuple(mat_mul([y], res.u)[0])
 
 
 def in_rowspan(a: Matrix, b: list[int] | tuple[int, ...]) -> bool:

@@ -1,6 +1,7 @@
 """First homology of the real locus: section classes and line counting."""
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,14 @@ from conelines.homology_action import (
     vanishing_orbit,
     zero_delta,
 )
-from conelines.lattices import SexticType, UnsupportedTypeError, build_lattice
-from conelines.mapping_class import split_twist, translation_class
+from conelines.lattices import SexticType, SurfaceType, UnsupportedTypeError, build_lattice
+from conelines.mapping_class import (
+    mods_identity,
+    mods_mul,
+    split_twist,
+    translation_analysis,
+    translation_class,
+)
 from conftest import HANDLE_KEYS, lattice_for
 
 HANDLE_SURFACES = tuple(SexticType.from_key(k).surface() for k in HANDLE_KEYS)
@@ -120,6 +127,12 @@ def test_obstruction_values():
 def test_obstruction_is_only_defined_where_the_parity_binds():
     with pytest.raises(UnsupportedTypeError):
         obstruction_kappa(SexticType.from_key("2|0").surface(), (0, 0), (0, 0))
+    with pytest.raises(UnsupportedTypeError):
+        obstruction_kappa(SurfaceType.from_key("K#3T2"), (0, 0, 0), (0, 0, 0))
+    # realizable_mod2 forces the fiber bit on K+4S2; only the closed form is missing
+    with pytest.raises(UnsupportedTypeError) as raised:
+        obstruction_kappa(SurfaceType.from_key("K+4S2"), (), ())
+    assert "no parity constraint" not in str(raised.value)
 
 
 @pytest.mark.parametrize(
@@ -131,6 +144,27 @@ def test_finite_line_class_counts(key, expected):
     assert counted.finite == expected
     with pytest.raises(ValueError):
         counted.witnesses(3)
+
+
+@pytest.mark.parametrize("key", ["0|0", "0|1", "0|2", "0|3", "0|4", "|||"])
+def test_kernel_index_equals_the_image_order(key):
+    """[L : kernel] = |image| on the finite-image surfaces, three ways: the
+    covolume of the kernel basis, the closure of the basis translations
+    under mods_mul, and the line-class count."""
+    lattice = lattice_for(key)
+    surface = lattice.sextic.surface()
+    kernel = translation_analysis(lattice).kernel_basis
+    index = abs(sympy.Matrix(kernel).det()) if kernel else 1
+    generators = [translation_class(lattice, lattice.basis_vector(j)) for j in range(lattice.rank)]
+    group = {mods_identity(surface)}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for h in generators:
+            if (gh := mods_mul(g, h)) not in group:
+                group.add(gh)
+                frontier.append(gh)
+    assert index == len(group) == count_line_classes(surface).finite
 
 
 @pytest.mark.parametrize("key", HANDLE_KEYS)

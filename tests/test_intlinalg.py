@@ -112,8 +112,18 @@ def test_solve_left_inverts_row_combinations(a, x):
 @given(small_matrix, st.lists(st.integers(-6, 6), min_size=1, max_size=4))
 @settings(max_examples=120)
 def test_solve_left_agrees_with_rowspan_membership(a, b):
+    """solve_left against the Smith-form criterion: with U A V = S and
+    c = b V, x A = b is solvable iff d_j | c_j below the rank and c_j = 0
+    beyond it."""
     b = tuple(b[: len(a[0])]) + (0,) * max(0, len(a[0]) - len(b))
-    assert (solve_left(a, b) is not None) == in_rowspan(a, b)
+    res = smith_normal_form(a)
+    c = mat_mul([list(b)], res.v)[0]
+    d = res.diagonal
+    solvable = all(c[j] % d[j] == 0 for j in range(res.rank)) and not any(c[res.rank :])
+    sol = solve_left(a, b)
+    assert (sol is not None) == in_rowspan(a, b) == solvable
+    if sol is not None:
+        assert mat_mul([list(sol)], a)[0] == list(b)
 
 
 @given(small_matrix)
@@ -124,6 +134,29 @@ def test_left_kernel_annihilates(a):
             sum(row[i] * a[i][j] for i in range(len(a))) == 0 for j in range(len(a[0]))
         )
     assert len(kernel) == len(a) - smith_normal_form(a).rank
+    # saturated: the kernel rows span a direct summand, not a finite-index sublattice
+    if kernel:
+        assert all(d in (0, 1) for d in smith_normal_form([list(r) for r in kernel]).diagonal)
+
+
+def test_degenerate_shapes_keep_their_values():
+    empty_rows = smith_normal_form([[], []])
+    assert (empty_rows.s, empty_rows.u, empty_rows.v) == ([[], []], identity_matrix(2), [])
+    assert left_kernel_basis([[], []]) == ((1, 0), (0, 1))
+    assert solve_left([[], []], ()) == (0, 0)
+    assert quotient_invariants(0, [[]]) == GroupInvariants(0, ())
+    row = smith_normal_form([[0, 0]])
+    assert (row.s, row.u, row.v) == ([[0, 0]], [[1]], identity_matrix(2))
+    column = smith_normal_form([[0], [0]])
+    assert (column.s, column.u, column.v) == ([[0], [0]], identity_matrix(2), [[1]])
+    assert left_kernel_basis([[0, 0]]) == ((1,),)
+    assert left_kernel_basis([[0], [0]]) == ((1, 0), (0, 1))
+    assert solve_left([[0, 0]], (0, 0)) == (0,)
+    assert solve_left([[0, 0]], (0, 1)) is None
+    assert solve_left([[0], [0]], (0,)) == (0, 0)
+    assert solve_left([[0], [0]], (3,)) is None
+    assert quotient_invariants(2, [[0, 0]]) == GroupInvariants(2, ())
+    assert quotient_invariants(1, [[0], [0]]) == GroupInvariants(1, ())
 
 
 def test_quotient_invariants_examples():
