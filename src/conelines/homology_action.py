@@ -10,7 +10,9 @@ matrix in block-triangular form, the group law on section differences,
 and the parity obstruction singling out the classes realizable by real
 lines.  ``realizable_mod2`` forces the fiber bit on three surfaces,
 K#4T2, K#T2+S2 and K+4S2; ``obstruction_kappa`` writes it in closed form
-on the first two.
+on the first two.  ``split_twist_preimage`` pulls a split twist back to
+a lattice vector through the explicit presentation of the translation
+map, the same row span ``is_translation_class`` tests.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .intlinalg import Matrix, mat_mul, solve_left
 from .lattices import GeometricLattice, SurfaceType, UnsupportedTypeError, Vec, build_lattice
 from .mapping_class import (
     ModSElement,
-    _pendant_oval,
+    _image_matrix,
+    linear_coordinates,
     split_twist,
     translation_analysis,
     translation_class,
@@ -233,21 +236,18 @@ class LineClassCount:
 def split_twist_preimage(lattice: GeometricLattice, i: int) -> Vec:
     """A lattice vector whose translation is the split twist at oval i.
 
-    Either a pendant bridge of the basis, or the root with the matching
-    pairing profile when the basis has no pendant at that oval.
+    One exact solve of the split twist's linear coordinates against the
+    rows of the basis images and relators, the presentation of the
+    translation map that ``is_translation_class`` tests membership in.
+    Raises ``UnsupportedTypeError`` when the split twist lies outside the
+    image, as at ovals 2 and 4 of K#4T2 (the Z/2 cokernel).
     """
     surface = lattice.sextic.surface()
-    for j in lattice.bridge_indices:
-        if _pendant_oval(lattice, j) == i:
-            return lattice.basis_vector(j)
-    target = [0] * lattice.rank
-    target[lattice.oval_indices[i - 1]] = 1
-    sol = solve_left([list(r) for r in lattice.gram], target)
+    _, rows = _image_matrix(lattice, 0)
+    sol = solve_left(rows, linear_coordinates(split_twist(surface, i)))
     if sol is None:
         raise UnsupportedTypeError(f"no split-twist preimage at oval {i} on {surface}")
-    if translation_class(lattice, sol) != split_twist(surface, i):
-        raise RuntimeError(f"solved preimage at oval {i} on {surface} is not the split twist")
-    return sol
+    return sol[: lattice.rank]
 
 
 def count_line_classes(surface: SurfaceType) -> LineClassCount:

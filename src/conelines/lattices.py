@@ -4,10 +4,10 @@ Each of the eleven topological types of nonsingular real sextic curves on
 the quadric cone carries a negative definite root lattice spanned by
 vanishing cycles of two kinds, oval classes and bridge classes.  This
 module builds those lattices in their fixed geometric bases, enumerates
-their root systems and norm shells, and evaluates the middle homology
-pairing of the real rational elliptic surface obtained by blowing up the
-base point of the anticanonical pencil of the degree-one del Pezzo double
-cover.
+their norm shells with one integer Fincke-Pohst descent (the root system
+is the -2 shell), and evaluates the middle homology pairing of the real
+rational elliptic surface obtained by blowing up the base point of the
+anticanonical pencil of the degree-one del Pezzo double cover.
 
 All vectors are plain integer tuples in the fixed basis, so every value in
 this module is hashable and safe to share between threads.
@@ -314,33 +314,6 @@ def reflect(lattice: GeometricLattice, e: Vec, x: Vec) -> Vec:
 
 
 @lru_cache(maxsize=None)
-def enumerate_roots(lattice: GeometricLattice) -> tuple[Vec, ...]:
-    """All norm -2 vectors, computed as the reflection closure of the basis.
-
-    Every lattice handled here is a root lattice, so its roots form a
-    single orbit of the basis under the reflections in basis elements.
-    The result is sorted lexicographically, hence deterministic.
-    """
-    rank = lattice.rank
-    if rank == 0:
-        return ()
-    seed = [unit_vec(rank, i) for i in range(rank)]
-    found: set[Vec] = set(seed) | {vneg(v) for v in seed}
-    frontier = list(found)
-    while frontier:
-        x = frontier.pop()
-        for i in range(rank):
-            c = sum(g * xj for g, xj in zip(lattice.gram[i], x))
-            if c == 0:
-                continue
-            y = tuple(xj + (c if j == i else 0) for j, xj in enumerate(x))
-            if y not in found:
-                found.add(y)
-                frontier.append(y)
-    return tuple(sorted(found))
-
-
-@lru_cache(maxsize=None)
 def _square_completion(lattice: GeometricLattice) -> tuple[int, tuple]:
     """Integer Fincke-Pohst levels of the negated form.
 
@@ -419,6 +392,16 @@ def vectors_with_norm_at_least(lattice: GeometricLattice, floor: int) -> tuple[V
 
     descend(n - 1, -floor * scale)
     return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def enumerate_roots(lattice: GeometricLattice) -> tuple[Vec, ...]:
+    """All norm -2 vectors, sorted lexicographically.
+
+    Every lattice here is even and negative definite, so the nonzero
+    vectors of the -2 shell are exactly the roots.
+    """
+    return tuple(v for v in vectors_with_norm_at_least(lattice, -2) if any(v))
 
 
 def canonical_root_pair(e: Vec) -> tuple[Vec, Vec]:

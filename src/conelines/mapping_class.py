@@ -38,6 +38,8 @@ from .lattices import (
     UnsupportedTypeError,
     Vec,
     build_lattice,
+    smul,
+    unit_vec,
 )
 
 
@@ -170,10 +172,9 @@ def fiber_twist(surface: SurfaceType, i: int = 1) -> ModSElement:
     if p == 0:
         if i != 1:
             raise ValueError("handle-free surfaces carry a single twist generator")
-        return ModSElement(surface, fiber_twists=(1,))
+        return mods_element(surface, fiber_twists=(1,))
     _check_handle_index(surface, i)
-    n = tuple(int(j == i - 1) for j in range(p))
-    return ModSElement(surface, (0,) * p, n, (0,) * p)
+    return mods_element(surface, fiber_twists=unit_vec(p, i - 1))
 
 
 def split_twist(surface: SurfaceType, i: int) -> ModSElement:
@@ -181,45 +182,35 @@ def split_twist(surface: SurfaceType, i: int) -> ModSElement:
     if surface.double_klein or surface.handles == 0:
         raise UnsupportedTypeError(f"{surface} has no split-twist generators")
     _check_handle_index(surface, i)
-    p = surface.handles
-    m = tuple(int(j == i - 1) for j in range(p))
-    return ModSElement(surface, (0,) * p, (0,) * p, m)
-
-
-def reduced_half_twist(surface: SurfaceType, i: int) -> ModSElement:
-    """The normalized half twist of handle i (the storage generator)."""
-    if surface.double_klein or surface.handles == 0:
-        raise UnsupportedTypeError(f"{surface} has no half-twist generators")
-    _check_handle_index(surface, i)
-    p = surface.handles
-    kappa = tuple(int(j == i - 1) for j in range(p))
-    return ModSElement(surface, kappa, (0,) * p, (0,) * p)
+    return mods_element(surface, split_twists=unit_vec(surface.handles, i - 1))
 
 
 def handle_half_twist(surface: SurfaceType, i: int) -> ModSElement:
     """The geometric half twist of handle i.
 
-    Differs from the normalized one by the fiber twist at the next
-    handle (inverted fiber twist at handle 1 when i is the last handle);
-    its square is the product of the fiber twists at handles i and i+1.
+    The normalized half twist of handle i (the storage generator) times
+    the fiber twist at the next handle, or the inverse fiber twist at
+    handle 1 when i is the last handle; its square is the product of the
+    fiber twists at handles i and i+1.
     """
+    if surface.double_klein or surface.handles == 0:
+        raise UnsupportedTypeError(f"{surface} has no half-twist generators")
+    _check_handle_index(surface, i)
     p = surface.handles
-    g = reduced_half_twist(surface, i)
-    if i < p:
-        return mods_mul(g, fiber_twist(surface, i + 1))
-    return mods_mul(g, mods_inv(fiber_twist(surface, 1)))
+    next_fiber = smul(1 if i < p else -1, unit_vec(p, i % p))
+    return mods_element(surface, unit_vec(p, i - 1), next_fiber)
 
 
 def swap_components(surface: SurfaceType) -> ModSElement:
     if not surface.double_klein:
         raise UnsupportedTypeError("component swap exists only on the double Klein bottle")
-    return ModSElement(surface, swap=1)
+    return mods_element(surface, swap=1)
 
 
 def shift_components(surface: SurfaceType) -> ModSElement:
     if not surface.double_klein:
         raise UnsupportedTypeError("component shift exists only on the double Klein bottle")
-    return ModSElement(surface, shift=1)
+    return mods_element(surface, shift=1)
 
 
 def mods_delta(surface: SurfaceType) -> ModSElement:

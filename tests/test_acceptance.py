@@ -97,12 +97,16 @@ def test_criterion_12_cli_self_check(tmp_path, capsys):
 
 def test_verify_runs_without_numpy():
     # numpy is not a dependency: with its import blocked, criterion 9's
-    # exhaustive sweep must still complete and pass.
+    # exhaustive sweep must still complete and pass, and the CLI with it
+    # must load nothing from outside the standard library.
     probe = """
 import sys
 sys.modules["numpy"] = None
+before = set(sys.modules)
+import conelines.cli
 from conelines.verify import run_criterion
 results = run_criterion(9)
+print(*sorted({name.partition(".")[0] for name in set(sys.modules) - before}))
 for r in results:
     print(r.passed, r.name, r.observed, sep="\t")
 """
@@ -110,7 +114,10 @@ for r in results:
         [sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(), timeout=300
     )
     assert done.returncode == 0, done.stderr
-    checks = [line.split("\t", 2) for line in done.stdout.splitlines()]
+    loaded, *lines = done.stdout.splitlines()
+    foreign = set(loaded.split()) - set(sys.stdlib_module_names) - {"conelines"}
+    assert not foreign, foreign
+    checks = [line.split("\t", 2) for line in lines]
     assert checks, "criterion 9 produced no checks"
     assert "9.aborted" not in {name for _, name, _ in checks}, done.stdout
     assert all(passed == "True" for passed, _, _ in checks), done.stdout

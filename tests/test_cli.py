@@ -1,16 +1,24 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conelines import cli
 from conelines.homology_action import class_of_section
 from conelines.lattices import SexticType, build_lattice
 from conelines.mapping_class import translation_class
 from conftest import src_env
+
+#: sha256 of ``verify --seed 42 --format json``.
+SEED_42_JSON_SHA256 = "2dc1c235f5b281edca207c63a43e933fc46d7c319e30cdde23172ed77498d24f"
 
 
 def run(capsys, *argv):
@@ -177,9 +185,9 @@ def test_verify_report_shape_and_success(capsys):
 
 
 def test_verify_is_deterministic_for_a_fixed_seed(capsys):
-    _, first = run(capsys, "verify", "--seed", "42", "--format", "json")
-    _, second = run(capsys, "verify", "--seed", "42", "--format", "json")
-    assert first == second
+    # the report is a function of the seed alone, so its bytes are pinned
+    _, out = run(capsys, "verify", "--seed", "42", "--format", "json")
+    assert hashlib.sha256(out.encode()).hexdigest() == SEED_42_JSON_SHA256
 
 
 def test_out_writes_the_rendering_to_a_file(tmp_path, capsys):
@@ -215,3 +223,49 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("## ")
+
+
+#: Command lines that succeed, the seeds of the fuzzed ones.
+GOOD_ARGVS = (
+    ("tables", "all"),
+    ("tables", "mw", "--format", "csv"),
+    ("classify", "4|0"),
+    ("classify", "|||", "--format", "json"),
+    ("act", "K#T2", "0,1,0,0,0", "0,0,0,1"),
+    ("act", "K#T2", "-3,-1,1,0,0", "1,0,1,0,0,0,1", "--mod2"),
+    ("act", "K+K", "1,0,0,0", "0,1,0,0,0,1", "--mod2", "--seed", "42"),
+)
+
+#: Words inserted into them: subcommands, table selectors, curve and
+#: surface keys (valid and not), comma lists (well formed and not) and
+#: options with their values.  ``verify`` is slow and ``--out`` writes
+#: files; both stay out.
+ARGV_WORDS = (
+    *("tables", "classify", "act", "all", "mw", "tritangents", "nope"),
+    *("4|0", "|||", "0|4", "9|9", "1|", "K#T2", "K#4T2", "K+K", "K+4S2", "K#1T2", "K#9T2"),
+    *("0,1,0,0,0", "0,0,0,1", "-3,-1,1,0,0", "1,0,1,0,0,0,1", "1,,2", ",", "1,a", "--1,2", "", "7"),
+    *("--format", "json", "csv", "md", "xml", "--seed", "42", "-1", str(2**64)),
+    *("--mod2", "--fault", "gram", "--"),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A good command line with up to two words dropped and up to four inserted."""
+    argv = list(draw(st.sampled_from(GOOD_ARGVS)))
+    for _ in range(draw(st.integers(0, 2))):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    for word in draw(st.lists(st.sampled_from(ARGV_WORDS), max_size=4)):
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return argv
+
+
+@given(command_lines())
+@settings(max_examples=200, deadline=None)
+def test_any_command_line_exits_with_0_1_or_2(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

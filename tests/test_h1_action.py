@@ -22,6 +22,7 @@ from conelines.homology_action import (
 )
 from conelines.lattices import SexticType, SurfaceType, UnsupportedTypeError, build_lattice
 from conelines.mapping_class import (
+    is_translation_class,
     mods_identity,
     mods_mul,
     split_twist,
@@ -178,10 +179,20 @@ def test_infinite_types_stream_distinct_witnesses(key):
 
 @pytest.mark.parametrize("key", HANDLE_KEYS)
 def test_split_twist_preimage_inverts_the_translation(key):
+    # every oval: a preimage exactly where the split twist is a translation
+    # class; only ovals 2 and 4 of K#4T2 fall in the Z/2 cokernel
     lattice = lattice_for(key)
     surface = lattice.sextic.surface()
-    w = split_twist_preimage(lattice, 1)
-    assert translation_class(lattice, w) == split_twist(surface, 1)
+    outside = []
+    for i in range(1, surface.handles + 1):
+        twist = split_twist(surface, i)
+        if is_translation_class(twist):
+            assert translation_class(lattice, split_twist_preimage(lattice, i)) == twist
+        else:
+            with pytest.raises(UnsupportedTypeError):
+                split_twist_preimage(lattice, i)
+            outside.append(i)
+    assert outside == ([2, 4] if key == "4|0" else [])
 
 
 def test_vanishing_orbit_classes_are_distinct_non_sections():

@@ -26,6 +26,7 @@ from conelines.lattices import (
     root_pairs,
     vadd,
     vectors_with_norm_at_least,
+    vneg,
 )
 from conftest import TYPE_KEYS, lattice_for
 
@@ -113,9 +114,12 @@ with gram_fault():
     FAULTED_E8 = build_lattice(SexticType(4, 0))
 
 
-@pytest.mark.parametrize(
+EVERY_LATTICE = pytest.mark.parametrize(
     "lattice", [lattice_for(k) for k in TYPE_KEYS] + [FAULTED_E8], ids=[*TYPE_KEYS, "4|0-gram"]
 )
+
+
+@EVERY_LATTICE
 @given(data=st.data())
 @settings(max_examples=40)
 def test_edge_list_pairing_equals_the_dense_form(lattice, data):
@@ -140,13 +144,18 @@ def test_root_reflections_preserve_the_form(data):
         assert reflect(lattice, e, image) == v
 
 
-@pytest.mark.parametrize("key", TYPE_KEYS)
-def test_shell_enumeration_matches_root_enumeration(key):
-    lattice = lattice_for(key)
-    shell = vectors_with_norm_at_least(lattice, -2)
-    roots = {v for v in shell if norm(lattice, v) == -2}
-    assert roots == set(enumerate_roots(lattice))
-    assert all(norm(lattice, v) >= -2 for v in shell)
+@EVERY_LATTICE
+def test_shell_enumeration_matches_root_enumeration(lattice):
+    # The roots are read off the -2 shell.  Independently, the roots of a
+    # simply laced root lattice are the orbit of its basis under the simple
+    # reflections: norm -2 vectors holding +/- each basis vector and closed
+    # under reflection in each basis vector are the whole root system.
+    roots = set(enumerate_roots(lattice))
+    basis = [lattice.basis_vector(i) for i in range(lattice.rank)]
+    assert set(basis) | {vneg(e) for e in basis} <= roots
+    assert all(reflect(lattice, e, r) in roots for e in basis for r in roots)
+    assert all(norm(lattice, r) == -2 for r in roots)
+    assert all(norm(lattice, v) >= -2 for v in vectors_with_norm_at_least(lattice, -2))
 
 
 def test_shell_enumeration_matches_brute_force_box():
