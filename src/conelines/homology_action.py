@@ -18,7 +18,6 @@ map, the same row span ``is_translation_class`` tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 from .intlinalg import Matrix, mat_mul, solve_left
 from .lattices import GeometricLattice, SurfaceType, UnsupportedTypeError, Vec, build_lattice
@@ -225,12 +224,10 @@ class LineClassCount:
             raise ValueError("finite counts carry no witness stream")
         lattice = build_lattice(self.surface.sextic())
         w = split_twist_preimage(lattice, 1)
-        out = []
-        for n in count():
-            if len(out) == how_many:
-                break
-            out.append(class_of_section(translation_class(lattice, tuple(n * x for x in w))))
-        return tuple(out)
+        return tuple(
+            class_of_section(translation_class(lattice, tuple(n * x for x in w)))
+            for n in range(how_many)
+        )
 
 
 def split_twist_preimage(lattice: GeometricLattice, i: int) -> Vec:

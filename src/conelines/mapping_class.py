@@ -4,12 +4,18 @@ For a real rational elliptic surface whose real locus is a connected sum
 of a Klein bottle with p tori (possibly plus spheres, or a disjoint Klein
 bottle), the group of fiberwise mapping classes fixing a section is
 abelian, generated by fiber twists, split twists and half twists of the
-handles.  Elements are stored in generator exponents with the half-twist
-exponents reduced to bits; reducing an exponent of 2 feeds the
-appropriate fiber twists back in (the square of the i-th normalized half
-twist is the fiber twist at handle i composed with the inverse fiber
-twist at the next handle, with the convention that "the twist past the
-last handle" is the inverse of the first one).
+handles.  The square of the i-th normalized half twist is the fiber twist
+at handle i composed with the inverse fiber twist at the next handle
+(past the last handle, the fiber twist at the first one).  The drift
+formula
+
+    d_i = kappa_i + 2 (n_1 + ... + n_i) - (n_1 + ... + n_p)
+
+sends these relators to zero, and the drifts, the split-twist exponents
+and the total fiber-twist parity identify the group with Z^2p x Z/2.
+These linear coordinates are the group's one coordinate system: the
+group law, the normal form of raw exponents (half twists reduced to
+bits) and the translation map are all sums in them.
 
 Translating along a section moves every fiber by an element of the
 vanishing-cycle lattice; ``translation_class`` is the resulting
@@ -22,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, mul
 
 from .intlinalg import (
@@ -92,6 +99,34 @@ class ModSElement:
             raise ValueError(f"malformed element data for surface {self.surface}")
 
 
+def _coordinates(
+    surface: SurfaceType,
+    half_twists: Sequence[int] = (),
+    fiber_twists: Sequence[int] = (),
+    split_twists: Sequence[int] = (),
+    swap: int = 0,
+    shift: int = 0,
+) -> tuple[int, ...]:
+    """Linear coordinates of raw exponents, by the drift formula.
+
+    The relators map to zero, so the exponents need no normal form
+    first.  Empty tuples stand for zeros.
+    """
+    if surface.double_klein:
+        return (swap % 2, shift % 2)
+    p = surface.handles
+    if p == 0:
+        return (sum(fiber_twists) % 2,)
+    kappa = half_twists or (0,) * p
+    n = fiber_twists or (0,) * p
+    m = split_twists or (0,) * p
+    if not (len(kappa) == len(n) == len(m) == p):
+        raise ValueError("exponent tuples must have one entry per handle")
+    total = sum(n)
+    drift = [k + 2 * running - total for k, running in zip(kappa, accumulate(n))]
+    return (*drift, *m, total % 2)
+
+
 def mods_element(
     surface: SurfaceType,
     half_twists: Sequence[int] = (),
@@ -100,44 +135,13 @@ def mods_element(
     swap: int = 0,
     shift: int = 0,
 ) -> ModSElement:
-    """Build an element from raw exponents, normalizing the half twists.
+    """Build an element from raw exponents (empty tuples stand for zeros).
 
-    This is the one place that knows how raw exponents normalize; the
-    group law and the translation map sum exponents and come here once.
-    Empty tuples stand for zeros.
+    The exponents go to linear coordinates and back, which reduces the
+    half twists to bits.
     """
-    p = surface.handles
-    if surface.double_klein:
-        return ModSElement(surface, swap=swap % 2, shift=shift % 2)
-    if p == 0:
-        return ModSElement(surface, fiber_twists=(sum(fiber_twists) % 2,))
-    kappa = list(half_twists or (0,) * p)
-    n = list(fiber_twists or (0,) * p)
-    m = tuple(split_twists or (0,) * p)
-    if not (len(kappa) == len(n) == len(m) == p):
-        raise ValueError("exponent tuples must have one entry per handle")
-    for i in range(p):
-        q, kappa[i] = divmod(kappa[i], 2)
-        if q:
-            n[i] += q
-            n[(i + 1) % p] += q if i == p - 1 else -q
-    return ModSElement(surface, tuple(kappa), tuple(n), m)
-
-
-def _exponents(g: ModSElement) -> tuple[int, ...]:
-    """All exponents of an element in one row: half, fiber and split twists, swap, shift."""
-    return (*g.half_twists, *g.fiber_twists, *g.split_twists, g.swap, g.shift)
-
-
-def _from_exponents(surface: SurfaceType, row: Sequence[int]) -> ModSElement:
-    """Normalize a raw exponent row laid out as ``_exponents`` lays it out.
-
-    The half and split twists take p entries each; the fiber twists take
-    what remains before swap and shift (p of them, one, or none).
-    """
-    *twists, swap, shift = row
-    p, end = surface.handles, len(twists) - surface.handles
-    return mods_element(surface, twists[:p], twists[p:end], twists[end:], swap, shift)
+    coords = _coordinates(surface, half_twists, fiber_twists, split_twists, swap, shift)
+    return from_linear_coordinates(surface, coords)
 
 
 def mods_identity(surface: SurfaceType) -> ModSElement:
@@ -147,7 +151,8 @@ def mods_identity(surface: SurfaceType) -> ModSElement:
 def mods_mul(a: ModSElement, b: ModSElement) -> ModSElement:
     if a.surface != b.surface:
         raise ValueError("elements live on different surfaces")
-    return _from_exponents(a.surface, tuple(map(add, _exponents(a), _exponents(b))))
+    coords = map(add, linear_coordinates(a), linear_coordinates(b))
+    return from_linear_coordinates(a.surface, tuple(coords))
 
 
 def mods_inv(a: ModSElement) -> ModSElement:
@@ -155,8 +160,8 @@ def mods_inv(a: ModSElement) -> ModSElement:
 
 
 def mods_pow(a: ModSElement, k: int) -> ModSElement:
-    """The k-th power: the group is abelian, so it scales the exponents."""
-    return _from_exponents(a.surface, tuple(k * x for x in _exponents(a)))
+    """The k-th power: the group is abelian, so it scales the coordinates."""
+    return from_linear_coordinates(a.surface, tuple(k * x for x in linear_coordinates(a)))
 
 
 def _check_handle_index(surface: SurfaceType, i: int) -> None:
@@ -242,47 +247,33 @@ def linear_coordinates(g: ModSElement) -> tuple[int, ...]:
     Z^2p x Z/2; handle-free surfaces give the single twist bit, and the
     double Klein bottle gives (swap, shift).
     """
-    s = g.surface
-    if s.double_klein:
-        return (g.swap, g.shift)
-    p = s.handles
-    if p == 0:
-        return (g.fiber_twists[0],)
-    total = sum(g.fiber_twists)
-    drift = []
-    running = 0
-    for i in range(p):
-        running += g.fiber_twists[i]
-        drift.append(g.half_twists[i] + 2 * running - total)
-    return tuple(drift) + g.split_twists + (total % 2,)
+    return _coordinates(g.surface, g.half_twists, g.fiber_twists, g.split_twists, g.swap, g.shift)
 
 
-def from_linear_coordinates(surface: SurfaceType, coords: tuple[int, ...]) -> ModSElement:
-    """Inverse of linear_coordinates (the parity slot accepts any integer)."""
+def from_linear_coordinates(surface: SurfaceType, coords: Sequence[int]) -> ModSElement:
+    """The element with the given linear coordinates: the one normal form.
+
+    Any integer tuple of the right length is accepted; the parity slot
+    (or the swap/shift bits) is read mod 2.  Each half-twist bit is
+    kappa_i = (d_i + parity) mod 2, which makes every difference halved
+    below even, so the fiber twists are integers.
+    """
     if surface.double_klein:
         if len(coords) != 2:
             raise ValueError("expected (swap, shift)")
-        return mods_element(surface, swap=coords[0], shift=coords[1])
+        return ModSElement(surface, swap=coords[0] % 2, shift=coords[1] % 2)
     p = surface.handles
     if p == 0:
         if len(coords) != 1:
             raise ValueError("expected a single twist bit")
-        return mods_element(surface, fiber_twists=(coords[0],))
+        return ModSElement(surface, fiber_twists=(coords[0] % 2,))
     if len(coords) != 2 * p + 1:
         raise ValueError(f"expected {2 * p + 1} coordinates")
-    drift = coords[:p]
-    m = coords[p : 2 * p]
-    eps = coords[2 * p] % 2
-    kappa = [(d + eps) % 2 for d in drift]
-    total = drift[p - 1] - kappa[p - 1]
-    n = [0] * p
-    n[0] = (drift[0] - kappa[0] + total) // 2
-    for i in range(1, p):
-        n[i] = (drift[i] - drift[i - 1] - kappa[i] + kappa[i - 1]) // 2
-    g = ModSElement(surface, tuple(kappa), tuple(n), tuple(m))
-    if linear_coordinates(g) != tuple(coords[: 2 * p]) + (eps,):
-        raise ValueError(f"coordinates {coords} are not valid for {surface}")
-    return g
+    kappa = tuple((d + coords[2 * p]) % 2 for d in coords[:p])
+    # 2 (n_1 + ... + n_i) - total; the last one is the total itself.
+    sums = [d - k for d, k in zip(coords, kappa)]
+    n = tuple((b - a) // 2 for a, b in zip([-sums[-1], *sums], sums))
+    return ModSElement(surface, kappa, n, tuple(coords[p : 2 * p]))
 
 
 def _coordinate_relators(surface: SurfaceType) -> tuple[int, Matrix]:
@@ -323,25 +314,6 @@ def mods_group_structure(surface: SurfaceType) -> GroupInvariants:
     return quotient_invariants(3 * p, rows)
 
 
-def _pendant_oval(lattice: GeometricLattice, j: int) -> int | None:
-    """If basis element j is a bridge attached to exactly one oval, its oval number."""
-    if j in lattice.oval_indices:
-        return None
-    touching = [
-        i
-        for i in lattice.oval_indices
-        if lattice.gram[j][i] != 0
-    ]
-    others = [
-        i
-        for i in lattice.bridge_indices
-        if i != j and lattice.gram[j][i] != 0
-    ]
-    if len(touching) == 1 and not others:
-        return lattice.oval_number(touching[0])
-    return None
-
-
 def _basis_image(lattice: GeometricLattice, j: int, star: int) -> ModSElement:
     """Mapping class of the translation along basis vector j.
 
@@ -366,12 +338,13 @@ def _basis_image(lattice: GeometricLattice, j: int, star: int) -> ModSElement:
         i = lattice.oval_number(j)
         g = handle_half_twist(surface, i)
         return mods_mul(g, mods_pow(split_twist(surface, i), -2))
-    pend = _pendant_oval(lattice, j)
-    if pend is not None:
-        return split_twist(surface, pend)
-    touching = [lattice.oval_number(i) for i in lattice.oval_indices if lattice.gram[j][i] != 0]
+    neighbours = [b if a == j else a for a, b in lattice.edges if j in (a, b)]
+    touching = sorted(lattice.oval_number(i) for i in neighbours if i in lattice.oval_indices)
+    if len(neighbours) == 1 and touching:
+        # A pendant bridge, attached to one oval and nothing else.
+        return split_twist(surface, touching[0])
     if len(touching) == 2:
-        i1, i2 = sorted(touching)
+        i1, i2 = touching
         g = mods_mul(split_twist(surface, i1), split_twist(surface, i2))
         return mods_mul(g, mods_inv(fiber_twist(surface, i2)))
     if not touching:
@@ -387,24 +360,23 @@ def _basis_images(lattice: GeometricLattice, star: int) -> tuple[ModSElement, ..
 
 @lru_cache(maxsize=None)
 def _image_columns(lattice: GeometricLattice) -> tuple[SurfaceType, tuple[Vec, ...]]:
-    """The surface, and per exponent slot the exponents of the basis images."""
+    """The surface, and per linear coordinate that coordinate of each basis image."""
     surface = lattice.sextic.surface()
     # A rank-0 lattice has no images; the identity's row sets the slot count.
     images = _basis_images(lattice, 0) or (mods_identity(surface),)
-    return surface, tuple(zip(*map(_exponents, images)))
+    return surface, tuple(zip(*map(linear_coordinates, images)))
 
 
 def translation_class(lattice: GeometricLattice, v: Vec) -> ModSElement:
     """Mapping class of the fiberwise translation attached to a lattice vector.
 
-    The sum of the basis images' exponents weighted by v, normalized once;
-    the normalization respects the group law, so this is the product of
-    powers of the basis images.
+    The sum of the basis images' linear coordinates weighted by v, which
+    is the product of powers of the basis images.
     """
     if len(v) != lattice.rank:
         raise ValueError("vector length differs from lattice rank")
     surface, columns = _image_columns(lattice)
-    return _from_exponents(surface, [sum(map(mul, v, col)) for col in columns])
+    return from_linear_coordinates(surface, [sum(map(mul, v, col)) for col in columns])
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,16 @@ def test_infinite_types_stream_distinct_witnesses(key):
     assert all(w.line_coeff == 1 for w in witnesses)
 
 
+def test_witness_counts_of_zero_or_less_give_no_witnesses():
+    # witnesses(n) is the first n of the stream, so a count below 1 asks for none
+    counted = count_line_classes(SurfaceType.from_key("K#T2"))
+    assert counted.witnesses(0) == ()
+    assert counted.witnesses(-1) == ()
+    # the n-th witness translates by n times the preimage of the split twist
+    expected = tuple(H1Class(n % 2, ((-n, 0),), 1) for n in range(100))
+    assert counted.witnesses(100) == expected
+
+
 @pytest.mark.parametrize("key", HANDLE_KEYS)
 def test_split_twist_preimage_inverts_the_translation(key):
     # every oval: a preimage exactly where the split twist is a translation

@@ -83,6 +83,70 @@ def test_linear_coordinates_round_trip(data):
     assert from_linear_coordinates(surface, linear_coordinates(g)) == g
 
 
+def carried_normal_form(surface, half_twists=(), fiber_twists=(), split_twists=(), swap=0, shift=0):
+    """Raw exponents normalized by carrying half-twist squares into fiber twists.
+
+    The reference the linear-coordinate normal form must agree with: the
+    square of the i-th normalized half twist is the fiber twist at handle
+    i times the inverse fiber twist at handle i+1, or times the fiber
+    twist at handle 1 when i is the last handle.
+    """
+    if surface.double_klein:
+        return ModSElement(surface, swap=swap % 2, shift=shift % 2)
+    p = surface.handles
+    if p == 0:
+        return ModSElement(surface, fiber_twists=(sum(fiber_twists) % 2,))
+    kappa, n = list(half_twists), list(fiber_twists)
+    for i in range(p):
+        q, kappa[i] = divmod(kappa[i], 2)
+        if q:
+            n[i] += q
+            n[(i + 1) % p] += q if i == p - 1 else -q
+    return ModSElement(surface, tuple(kappa), tuple(n), tuple(split_twists))
+
+
+@st.composite
+def raw_exponents(draw):
+    surface = draw(st.sampled_from(SURFACES))
+    ints = st.integers(-3, 3)
+    if surface.double_klein:
+        return surface, {"swap": draw(ints), "shift": draw(ints)}
+    p = surface.handles
+    if p == 0:
+        return surface, {"fiber_twists": tuple(draw(st.lists(ints, max_size=3)))}
+    slots = ("half_twists", "fiber_twists", "split_twists")
+    return surface, {slot: tuple(draw(ints) for _ in range(p)) for slot in slots}
+
+
+@given(raw_exponents())
+@settings(max_examples=200)
+def test_mods_element_agrees_with_the_carried_normal_form(data):
+    surface, raw = data
+    assert mods_element(surface, **raw) == carried_normal_form(surface, **raw)
+
+
+@st.composite
+def coordinate_tuples(draw):
+    surface = draw(st.sampled_from(SURFACES))
+    p = surface.handles
+    dim = 2 if surface.double_klein else 2 * p + 1 if p else 1
+    return surface, tuple(draw(st.lists(st.integers(), min_size=dim, max_size=dim)))
+
+
+@given(coordinate_tuples())
+@settings(max_examples=200)
+def test_every_integer_tuple_of_the_right_length_is_a_coordinate_tuple(data):
+    surface, coords = data
+    g = from_linear_coordinates(surface, coords)
+    # only the parity slot (or the swap/shift bits) is reduced mod 2
+    parity = len(coords) - 1 if surface.handles else 0
+    reduced = coords[:parity] + tuple(c % 2 for c in coords[parity:])
+    assert linear_coordinates(g) == reduced
+    for wrong in (coords + (0,), coords[:-1]):
+        with pytest.raises(ValueError):
+            from_linear_coordinates(surface, wrong)
+
+
 @st.composite
 def lattice_vector_pair(draw):
     key = draw(st.sampled_from(TYPE_KEYS))
