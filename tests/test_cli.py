@@ -174,6 +174,15 @@ def test_act_dimension_mismatches(capsys):
         assert run(capsys, "act", key, "0", "0,0")[0] == 2
 
 
+def test_verify_report_shape_and_success(capsys):
+    code, out = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["columns"] == ["check", "status", "observed", "expected"]
+    assert {row[1] for row in doc["rows"]} == {"PASS"}
+    assert doc["rows"][-1][0] == "summary"
+
+
 def test_verify_is_deterministic_for_a_fixed_seed(capsys):
     code, out = run(capsys, "verify", "--seed", "42", "--format", "json")
     assert code == 0
