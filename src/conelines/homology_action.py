@@ -18,6 +18,7 @@ map, the same row span ``is_translation_class`` tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .intlinalg import Matrix, mat_mul, solve_left
 from .lattices import GeometricLattice, SurfaceType, UnsupportedTypeError, Vec, build_lattice
@@ -249,13 +250,8 @@ def split_twist_preimage(lattice: GeometricLattice, i: int) -> Vec:
 
 def count_line_classes(surface: SurfaceType) -> LineClassCount:
     """How many homology classes of real lines the surface carries."""
-    analysis = translation_analysis(build_lattice(surface.sextic()))
-    if analysis.image.free_rank == 0:
-        order = 1
-        for d in analysis.image.torsion:
-            order *= d
-        return LineClassCount(surface, order)
-    return LineClassCount(surface, None)
+    image = translation_analysis(build_lattice(surface.sextic())).image
+    return LineClassCount(surface, None if image.free_rank else prod(image.torsion))
 
 
 def vanishing_orbit(surface: SurfaceType, i: int, n: int) -> H1Class:

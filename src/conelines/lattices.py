@@ -456,6 +456,4 @@ def line_class_on_X(lattice: GeometricLattice, v: Vec) -> H2ClassX:
     Any lattice vector is allowed, not only roots; the result always
     self-pairs to -1 and meets the fiber once.
     """
-    if len(v) != lattice.rank:
-        raise ValueError("coordinate length mismatch")
     return H2ClassX(norm(lattice, v) // 2, v, 1)

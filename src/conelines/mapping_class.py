@@ -19,8 +19,10 @@ bits) and the translation map are all sums in them.
 
 Translating along a section moves every fiber by an element of the
 vanishing-cycle lattice; ``translation_class`` is the resulting
-homomorphism from the lattice into the mapping class group, and
-``translation_analysis`` computes its kernel, image and cokernel exactly.
+homomorphism from the lattice into the mapping class group.  Its one
+cached presentation ``_image_matrix`` is read by ``translation_class``,
+``is_translation_class``, ``homology_action.split_twist_preimage`` and
+``translation_analysis`` (kernel, image and cokernel) alike.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from operator import add, mul
 
 from .intlinalg import (
     GroupInvariants,
-    Matrix,
     hermite_rows,
     in_rowspan,
     left_kernel_basis,
@@ -276,17 +277,13 @@ def from_linear_coordinates(surface: SurfaceType, coords: Sequence[int]) -> ModS
     return ModSElement(surface, kappa, n, tuple(coords[p : 2 * p]))
 
 
-def _coordinate_relators(surface: SurfaceType) -> tuple[int, Matrix]:
-    """Ambient rank of the linear coordinates and the rows acting as zero."""
-    if surface.double_klein:
-        return 2, [[2, 0], [0, 2]]
-    p = surface.handles
-    if p == 0:
-        return 1, [[2]]
-    dim = 2 * p + 1
-    row = [0] * dim
-    row[-1] = 2
-    return dim, [row]
+def _coordinate_relators(surface: SurfaceType) -> tuple[int, tuple[Vec, ...]]:
+    """Ambient rank of the linear coordinates and the rows acting as zero:
+    twice each Z/2 slot, which is the parity slot, or the swap and shift
+    slots on the double Klein bottle."""
+    dim = len(linear_coordinates(mods_identity(surface)))
+    torsion = range(dim) if surface.double_klein else (dim - 1,)
+    return dim, tuple(smul(2, unit_vec(dim, t)) for t in torsion)
 
 
 def mods_group_structure(surface: SurfaceType) -> GroupInvariants:
@@ -294,13 +291,12 @@ def mods_group_structure(surface: SurfaceType) -> GroupInvariants:
 
     Generators: one half twist, one fiber twist and one split twist per
     handle; the only relations say that the square of each normalized
-    half twist is a signed pair of fiber twists.
+    half twist is a signed pair of fiber twists.  Handle-free surfaces
+    are generated by their Z/2 coordinate slots themselves.
     """
-    if surface.double_klein:
-        return quotient_invariants(2, [[2, 0], [0, 2]])
     p = surface.handles
-    if p == 0:
-        return quotient_invariants(1, [[2]])
+    if surface.double_klein or p == 0:
+        return quotient_invariants(*_coordinate_relators(surface))
     rows = []
     for i in range(p):
         row = [0] * (3 * p)
@@ -354,17 +350,21 @@ def _basis_image(lattice: GeometricLattice, j: int, star: int) -> ModSElement:
 
 
 @lru_cache(maxsize=None)
-def _basis_images(lattice: GeometricLattice, star: int) -> tuple[ModSElement, ...]:
-    return tuple(_basis_image(lattice, j, star) for j in range(lattice.rank))
+def _image_matrix(lattice: GeometricLattice, star: int) -> tuple[int, tuple[Vec, ...]]:
+    """The translation map's presentation: ambient rank of the linear
+    coordinates, then the basis images' coordinate rows (``rank`` of them)
+    followed by the relators.  All tuples: no reader can change the cache."""
+    dim, relators = _coordinate_relators(lattice.sextic.surface())
+    images = (linear_coordinates(_basis_image(lattice, j, star)) for j in range(lattice.rank))
+    return dim, (*images, *relators)
 
 
 @lru_cache(maxsize=None)
 def _image_columns(lattice: GeometricLattice) -> tuple[SurfaceType, tuple[Vec, ...]]:
     """The surface, and per linear coordinate that coordinate of each basis image."""
-    surface = lattice.sextic.surface()
-    # A rank-0 lattice has no images; the identity's row sets the slot count.
-    images = _basis_images(lattice, 0) or (mods_identity(surface),)
-    return surface, tuple(zip(*map(linear_coordinates, images)))
+    dim, rows = _image_matrix(lattice, 0)
+    # A rank-0 lattice has no images, but still one (empty) column per slot.
+    return lattice.sextic.surface(), tuple(zip(*rows[: lattice.rank])) or ((),) * dim
 
 
 def translation_class(lattice: GeometricLattice, v: Vec) -> ModSElement:
@@ -383,37 +383,25 @@ def translation_class(lattice: GeometricLattice, v: Vec) -> ModSElement:
 class TranslationAnalysis:
     """Kernel, image and cokernel of the lattice-to-mapping-class map."""
 
-    surface: SurfaceType
     kernel_basis: tuple[Vec, ...]
     image: GroupInvariants
     cokernel: GroupInvariants
 
 
-def _image_matrix(lattice: GeometricLattice, star: int) -> tuple[int, Matrix]:
-    """Ambient rank of the linear coordinates, and the coordinate rows of
-    the basis images followed by the relators (the rows acting as zero)."""
-    dim, relators = _coordinate_relators(lattice.sextic.surface())
-    images = _basis_images(lattice, star)
-    return dim, [list(linear_coordinates(g)) for g in images] + relators
-
-
 @lru_cache(maxsize=None)
-def _analysis(lattice: GeometricLattice, star: int) -> TranslationAnalysis:
-    dim, stacked = _image_matrix(lattice, star)
-    full_kernel = left_kernel_basis(stacked)
-    kernel = hermite_rows([row[: lattice.rank] for row in full_kernel])
-    image = quotient_invariants(lattice.rank, [list(r) for r in kernel])
-    cokernel = quotient_invariants(dim, stacked)
-    return TranslationAnalysis(lattice.sextic.surface(), kernel, image, cokernel)
-
-
 def translation_analysis(lattice: GeometricLattice, star: int = 0) -> TranslationAnalysis:
     """Kernel, image and cokernel of the translation homomorphism.
 
+    All three come from the presentation ``_image_matrix``: the kernel is
+    the lattice part of its left kernel, the image is the lattice modulo
+    that kernel, and the cokernel is the coordinates modulo every row.
     ``star`` (0 or 1) picks the image of the band type's central bridge:
     the component swap, or the swap composed with the shift.
     """
-    return _analysis(lattice, star)
+    dim, stacked = _image_matrix(lattice, star)
+    kernel = hermite_rows([row[: lattice.rank] for row in left_kernel_basis(stacked)])
+    image = quotient_invariants(lattice.rank, kernel)
+    return TranslationAnalysis(kernel, image, quotient_invariants(dim, stacked))
 
 
 def is_translation_class(g: ModSElement) -> bool:

@@ -56,8 +56,6 @@ class Mod2Vector:
 
 def reduce_mod2(lattice: GeometricLattice, v: Vec) -> Mod2Vector:
     """Coordinatewise reduction of an integer vector."""
-    if len(v) != lattice.rank:
-        raise ValueError("coordinate length mismatch")
     return Mod2Vector(tuple(x & 1 for x in v), lattice)
 
 

@@ -88,8 +88,6 @@ class H1Mod2Class:
 
 def mw_act_h1_mod2(lattice: GeometricLattice, w: Vec, x: H1Mod2Class) -> H1Mod2Class:
     """Mod-2 shadow of the transvection, on fiber/vanishing-mod-radical/section."""
-    if x.v_part.lattice != lattice:
-        raise ValueError("class belongs to a different lattice")
     wbar = reduce_mod2(lattice, w)
     k = (norm(lattice, w) // 2) % 2
     mu = (x.mu + mod2_pair(x.v_part, wbar) + k * x.nu) % 2

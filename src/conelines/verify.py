@@ -418,7 +418,7 @@ def _criterion_4() -> list[CheckResult]:
     return results
 
 
-def _analysis_row(surface: SurfaceType, star: int = 0):
+def _translation_row(surface: SurfaceType, star: int = 0):
     lattice = build_lattice(surface.sextic())
     analysis = translation_analysis(lattice, star)
     group = mods_group_structure(surface)
@@ -436,7 +436,7 @@ def _criterion_5() -> list[CheckResult]:
     for sextic in ALL_SEXTIC_TYPES:
         key = sextic.key
         surface = sextic.surface()
-        row, analysis = _analysis_row(surface)
+        row, analysis = _translation_row(surface)
         _eq(results, f"5.analysis {surface.key}", row, _ANALYSIS_EXPECTED[surface.key])
         _eq(
             results,
@@ -448,7 +448,7 @@ def _criterion_5() -> list[CheckResult]:
     # must not change any of the two-Klein-bottle conclusions.
     rows = []
     for star in (0, 1):
-        row, analysis = _analysis_row(SurfaceType(0, 0, double_klein=True), star)
+        row, analysis = _translation_row(SurfaceType(0, 0, double_klein=True), star)
         rows.append((row, hermite_rows(analysis.kernel_basis)))
     _eq(results, "5.swap-choice-invariance K+K", rows[0], rows[1])
     return results

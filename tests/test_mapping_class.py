@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelines.lattices import SexticType, build_lattice, vadd
+from conelines.homology_action import split_twist_preimage
+from conelines.intlinalg import quotient_invariants
+from conelines.lattices import SexticType, build_lattice, smul, unit_vec, vadd
 from conelines.mapping_class import (
     ModSElement,
+    _coordinate_relators,
+    _image_matrix,
     fiber_twist,
     from_linear_coordinates,
     handle_half_twist,
@@ -23,10 +27,11 @@ from conelines.mapping_class import (
     shift_components,
     split_twist,
     swap_components,
+    translation_analysis,
     translation_class,
 )
 from conelines.verify import _KERNEL_GENERATORS
-from conftest import TYPE_KEYS, lattice_for
+from conftest import HANDLE_KEYS, TYPE_KEYS, lattice_for
 
 SURFACES = tuple(SexticType.from_key(k).surface() for k in TYPE_KEYS)
 
@@ -248,6 +253,35 @@ def test_basis_translations_are_the_named_generators():
 def test_group_structure(key, expected):
     surface = SexticType.from_key(key).surface()
     assert str(mods_group_structure(surface)) == expected
+
+
+@pytest.mark.parametrize("key", TYPE_KEYS)
+def test_relators_are_twice_the_slots_the_normal_form_reduces(key):
+    # Read off the normal form, not the relators' derivation, so a wrong
+    # torsion slot fails on some surface.
+    surface = SexticType.from_key(key).surface()
+    dim, relators = _coordinate_relators(surface)
+    twice = (smul(2, unit_vec(dim, t)) for t in range(dim))
+    one = mods_identity(surface)
+    assert relators == tuple(r for r in twice if from_linear_coordinates(surface, r) == one)
+
+
+@pytest.mark.parametrize("key", HANDLE_KEYS)
+def test_relators_present_the_generator_presentation(key):
+    surface = SexticType.from_key(key).surface()
+    assert quotient_invariants(*_coordinate_relators(surface)) == mods_group_structure(surface)
+
+
+@pytest.mark.parametrize("key,star", [(k, 0) for k in TYPE_KEYS] + [("|||", 1)])
+def test_the_cached_presentation_is_tuples_no_reader_changes(key, star):
+    lattice = lattice_for(key)
+    _, rows = _image_matrix(lattice, star)
+    assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+    translation_analysis(lattice, star)
+    assert is_translation_class(translation_class(lattice, (1,) * lattice.rank))
+    if lattice.sextic.surface().handles:
+        split_twist_preimage(lattice, 1)
+    assert _image_matrix(lattice, star) == _image_matrix.__wrapped__(lattice, star)
 
 
 @pytest.mark.parametrize("key", [k for k in TYPE_KEYS if k != "|||"])

@@ -1,5 +1,7 @@
 """The unipotent action on homology and its mod-2 shadow."""
 
+import hashlib
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +137,19 @@ def test_realizability_rejects_the_double_klein(d4_band):
         realizable_mod2(surface, H1Mod2Class(0, zero_residue(d4_band), 1))
 
 
+def test_mismatched_lattices_and_lengths_are_rejected(e8, d4_band):
+    # Each check lives in the callee alone: Mod2Vector, mod2_pair and pair.
+    with pytest.raises(ValueError, match="bit length does not match the lattice rank"):
+        reduce_mod2(e8, (0,) * (e8.rank - 1))
+    other = H1Mod2Class(0, zero_residue(lattice_for("1|1")), 1)
+    assert d4_band.rank == other.v_part.lattice.rank
+    for lattice in (e8, d4_band):
+        with pytest.raises(ValueError, match="cannot pair residues of different lattices"):
+            mw_act_h1_mod2(lattice, (0,) * lattice.rank, other)
+    with pytest.raises(ValueError, match="coordinate length mismatch"):
+        line_class_on_X(e8, (1,) * (e8.rank + 1))
+
+
 def test_conic_count_arithmetic():
     assert conic_count(120, 24, 24) == 48
     assert conic_count(24, 24, 24) == 0
@@ -167,3 +182,17 @@ def test_scan_realizability_script(key):
     size = len(vectors_with_norm_at_least(lattice_for(key), -4))
     assert lines[0] == f"type {key}: {size} vectors with self-pairing >= -4"
     assert "vectors whose fiber bit disagrees with the refinement: 0" in lines
+
+
+def test_scan_realizability_output_is_pinned_for_every_type(monkeypatch, capsys):
+    # The script's --floor -8 output over all eleven types, in
+    # ALL_SEXTIC_TYPES order (386 lines), run in this process.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "scan_realizability.py"
+    main = runpy.run_path(str(script))["main"]
+    for key in TYPE_KEYS:
+        monkeypatch.setattr(sys, "argv", [script.name, "--type", key, "--floor", "-8"])
+        assert main() == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 386
+    digest = "54ce0d90476cf837f9843a35124a8b0671e5016eba23fc86b3c9a1f03adbf03b"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
