@@ -7,22 +7,26 @@ divisibility conditions, and invariant factors of finitely generated
 quotients.  ``row_hermite_form`` is the only elimination routine: the
 left kernel and row-span solves read off its transform, and the Smith
 form alternates Hermite forms of a matrix and of its transpose.
-Matrices are plain lists of lists of ints; sizes in this package stay
+Results are plain lists of lists of ints.  Inputs may be any sequences
+of integer rows (``mapping_class._image_matrix`` passes its cached
+tuples); they are copied and never written.  Sizes in this package stay
 in the single digits, so clarity beats asymptotics.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 Matrix = list[list[int]]
+Rows = Sequence[Sequence[int]]
 
 
 def identity_matrix(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a: Rows, b: Rows) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions differ")
     inner = len(b)
@@ -56,12 +60,12 @@ class SNFResult:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _transpose(a: Matrix, width: int) -> Matrix:
+def _transpose(a: Rows, width: int) -> Matrix:
     """The transpose of ``a``, which has ``width`` columns (kept when ``a`` has no rows)."""
     return [[row[j] for row in a] for j in range(width)]
 
 
-def smith_normal_form(a: Matrix) -> SNFResult:
+def smith_normal_form(a: Rows) -> SNFResult:
     """Alternate row Hermite forms of S and of its transpose until S is diagonal.
 
     Each pass leaves S lower triangular on its leading rank x rank block
@@ -105,7 +109,7 @@ class HNFResult:
         return sum(1 for row in self.h if any(row))
 
 
-def row_hermite_form(a: Matrix) -> HNFResult:
+def row_hermite_form(a: Rows) -> HNFResult:
     m = len(a)
     h = [list(row) for row in a]
     u = identity_matrix(m)
@@ -138,14 +142,14 @@ def row_hermite_form(a: Matrix) -> HNFResult:
     return HNFResult(h, u)
 
 
-def hermite_rows(a: Matrix) -> tuple[tuple[int, ...], ...]:
+def hermite_rows(a: Rows) -> tuple[tuple[int, ...], ...]:
     """The nonzero rows of the row Hermite form of ``a``, as tuples."""
     if not a:
         return ()
     return tuple(tuple(row) for row in row_hermite_form(a).h if any(row))
 
 
-def left_kernel_basis(a: Matrix) -> tuple[tuple[int, ...], ...]:
+def left_kernel_basis(a: Rows) -> tuple[tuple[int, ...], ...]:
     """Basis (in Hermite form) of {x : x A = 0} as rows of length len(a).
 
     U is unimodular, so its rows that U A = H sends to zero rows span the
@@ -155,7 +159,7 @@ def left_kernel_basis(a: Matrix) -> tuple[tuple[int, ...], ...]:
     return hermite_rows(res.u[res.rank :])
 
 
-def solve_left(a: Matrix, b: list[int] | tuple[int, ...]) -> tuple[int, ...] | None:
+def solve_left(a: Rows, b: Sequence[int]) -> tuple[int, ...] | None:
     """An integer solution x of x A = b, or None if none exists.
 
     Peels b off the pivots of U A = H from left to right; b = y H, and
@@ -178,7 +182,7 @@ def solve_left(a: Matrix, b: list[int] | tuple[int, ...]) -> tuple[int, ...] | N
     return tuple(mat_mul([y], res.u)[0])
 
 
-def in_rowspan(a: Matrix, b: list[int] | tuple[int, ...]) -> bool:
+def in_rowspan(a: Rows, b: Sequence[int]) -> bool:
     return solve_left(a, b) is not None
 
 
@@ -197,7 +201,7 @@ class GroupInvariants:
         return " x ".join(parts) if parts else "0"
 
 
-def quotient_invariants(n_cols: int, rows: Matrix) -> GroupInvariants:
+def quotient_invariants(n_cols: int, rows: Rows) -> GroupInvariants:
     """Invariants of Z^n modulo the subgroup spanned by the given rows."""
     if any(len(r) != n_cols for r in rows):
         raise ValueError("row length differs from ambient rank")

@@ -199,7 +199,15 @@ class GeometricLattice:
     oval_indices: tuple[int, ...]
     bridge_indices: tuple[int, ...]
 
-    @property
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """Hashed once; integer fields only, so a pickled copy stays right under any hash seed."""
+        return hash((self.sextic, self.edges))
+
+    @cached_property
     def rank(self) -> int:
         return len(self.basis_names)
 

@@ -50,6 +50,8 @@ from .lattices import (
     unit_vec,
 )
 
+_BITS = frozenset((0, 1))
+
 
 @dataclass(frozen=True)
 class ModSElement:
@@ -91,7 +93,7 @@ class ModSElement:
         else:
             shape_ok = (
                 len(self.half_twists) == p
-                and all(b in (0, 1) for b in self.half_twists)
+                and _BITS.issuperset(self.half_twists)
                 and len(self.fiber_twists) == p
                 and len(self.split_twists) == p
                 and self.swap == self.shift == 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import xor
 
 from .lattices import (
     GeometricLattice,
@@ -26,6 +27,8 @@ from .lattices import (
 
 Bits = tuple[int, ...]
 
+_BITS = frozenset((0, 1))
+
 
 @dataclass(frozen=True)
 class Mod2Vector:
@@ -37,15 +40,13 @@ class Mod2Vector:
     def __post_init__(self) -> None:
         if len(self.bits) != self.lattice.rank:
             raise ValueError("bit length does not match the lattice rank")
-        if any(b not in (0, 1) for b in self.bits):
+        if not _BITS.issuperset(self.bits):
             raise ValueError("bits must be 0 or 1")
 
     def __add__(self, other: "Mod2Vector") -> "Mod2Vector":
         if other.lattice != self.lattice:
             raise ValueError("cannot add residues of different lattices")
-        return Mod2Vector(
-            tuple(a ^ b for a, b in zip(self.bits, other.bits)), self.lattice
-        )
+        return _residues(self.lattice)[tuple(map(xor, self.bits, other.bits))]
 
     def is_zero(self) -> bool:
         return not any(self.bits)
@@ -54,13 +55,24 @@ class Mod2Vector:
         return tuple(i for i, b in enumerate(self.bits) if b)
 
 
+@lru_cache(maxsize=None)
+def _residues(lattice: GeometricLattice) -> dict[Bits, Mod2Vector]:
+    """The whole quotient (at most 2^8 points), each residue validated once, by its bits."""
+    return {
+        bits: Mod2Vector(bits, lattice)
+        for bits in itertools.product((0, 1), repeat=lattice.rank)
+    }
+
+
 def reduce_mod2(lattice: GeometricLattice, v: Vec) -> Mod2Vector:
-    """Coordinatewise reduction of an integer vector."""
-    return Mod2Vector(tuple(x & 1 for x in v), lattice)
+    """Coordinatewise reduction of an integer vector, as the interned residue."""
+    bits = tuple([x & 1 for x in v])
+    # A miss is a wrong length, which the constructor rejects.
+    return _residues(lattice).get(bits) or Mod2Vector(bits, lattice)
 
 
 def zero_residue(lattice: GeometricLattice) -> Mod2Vector:
-    return Mod2Vector((0,) * lattice.rank, lattice)
+    return _residues(lattice)[(0,) * lattice.rank]
 
 
 def mod2_pair(a: Mod2Vector, b: Mod2Vector) -> int:
@@ -70,11 +82,12 @@ def mod2_pair(a: Mod2Vector, b: Mod2Vector) -> int:
     return pair(a.lattice, a.bits, b.bits) & 1
 
 
+@lru_cache(maxsize=None)
 def q0(x: Mod2Vector) -> int:
     """Quadratic refinement with values in Z/2: half the norm of any lift.
 
     Well-defined because the lattice is even: changing the lift by twice a
-    vector changes half the norm by an even number.
+    vector changes half the norm by an even number.  Computed once per residue.
     """
     return (norm(x.lattice, x.bits) // 2) & 1
 
@@ -112,10 +125,7 @@ class Mod2Profile:
 
 
 def all_residues(lattice: GeometricLattice) -> tuple[Mod2Vector, ...]:
-    return tuple(
-        Mod2Vector(bits, lattice)
-        for bits in itertools.product((0, 1), repeat=lattice.rank)
-    )
+    return tuple(_residues(lattice).values())
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,9 @@
 """Lattice construction, root enumeration, and the homology frame."""
 
+import dataclasses
 import itertools
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -28,7 +31,7 @@ from conelines.lattices import (
     vectors_with_norm_at_least,
     vneg,
 )
-from conftest import TYPE_KEYS, lattice_for
+from conftest import TYPE_KEYS, lattice_for, src_env
 
 ROOT_COUNTS = {
     "4|0": 240,
@@ -277,3 +280,48 @@ def test_section_classes_self_pair_to_minus_one(e8):
         line = line_class_on_X(e8, w)
         assert pairing_x(e8, line, line) == -1
         assert pairing_x(e8, line, fiber) == 1
+
+
+_PICKLE_ALL = """
+import pickle, sys
+from conelines.lattices import ALL_SEXTIC_TYPES, build_lattice
+lattices = [build_lattice(t) for t in ALL_SEXTIC_TYPES]
+for lattice in lattices:
+    hash(lattice)
+    assert "_hash" in vars(lattice)  # the cached hash is part of the pickled state
+sys.stdout.buffer.write(pickle.dumps(lattices))
+"""
+
+_LOAD_ALL = """
+import pickle, sys
+from conelines.lattices import ALL_SEXTIC_TYPES, build_lattice
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = [build_lattice(t) for t in ALL_SEXTIC_TYPES]
+by_lattice = {lattice: lattice.sextic.key for lattice in fresh}
+for old, new in zip(loaded, fresh, strict=True):
+    assert old == new and old is not new and hash(old) == hash(new), new.sextic
+    assert by_lattice[old] == new.sextic.key
+print("ok")
+"""
+
+
+def test_a_pickled_lattice_keeps_its_hash_under_another_hash_seed():
+    def child(source, seed, data=None):
+        done = subprocess.run(
+            [sys.executable, "-c", source],
+            input=data,
+            capture_output=True,
+            env={**src_env(), "PYTHONHASHSEED": seed},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    assert child(_LOAD_ALL, "2", child(_PICKLE_ALL, "1")) == b"ok\n"
+
+
+def test_the_lattice_hash_is_cached_and_equality_stays_field_wise(e8):
+    assert hash(e8) == hash((e8.sextic, e8.edges)) and "_hash" in vars(e8)
+    copy = dataclasses.replace(e8)
+    assert copy == e8 and copy is not e8 and hash(copy) == hash(e8)
+    assert dataclasses.replace(e8, name="E8'") != e8

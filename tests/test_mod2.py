@@ -1,12 +1,17 @@
 """Mod-2 residues, the quadratic refinement, and root lifting."""
 
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conelines.cli import gram_fault
 from conelines.intlinalg import smith_normal_form
-from conelines.lattices import enumerate_roots, norm
+from conelines.lattices import enumerate_roots, norm, vectors_with_norm_at_least
 from conelines.mod2 import (
+    Mod2Vector,
     NoRootLiftError,
     all_residues,
     in_radical,
@@ -18,6 +23,7 @@ from conelines.mod2 import (
     strata_profile,
     zero_residue,
 )
+from conelines.translations import _least_in_coset, coset_representative, shell_classes
 from conftest import TYPE_KEYS, lattice_for
 
 
@@ -146,3 +152,65 @@ def test_lift_to_root_round_trips(key):
 def test_zero_residue_is_even(e8):
     assert q0(zero_residue(e8)) == 0
     assert in_radical(zero_residue(e8))
+
+
+@pytest.mark.parametrize("key", TYPE_KEYS)
+def test_the_quotient_is_interned_once_per_lattice(key):
+    lattice = lattice_for(key)
+    residues = all_residues(lattice)
+    assert [x.bits for x in residues] == list(itertools.product((0, 1), repeat=lattice.rank))
+    for x in residues:
+        lift = tuple(b - 2 * i for i, b in enumerate(x.bits))
+        assert reduce_mod2(lattice, lift) is x
+        assert x + zero_residue(lattice) is x
+        assert q0(x) == (norm(lattice, x.bits) // 2) & 1 == q0(Mod2Vector(x.bits, lattice))
+        assert coset_representative(x) == _least_in_coset.__wrapped__(lattice, x.bits)
+    assert zero_residue(lattice) is residues[0]
+
+
+@pytest.mark.parametrize("key", TYPE_KEYS)
+def test_shell_classes_match_a_count_over_fresh_residues(key):
+    lattice = lattice_for(key)
+    radical = [Mod2Vector(r.bits, lattice) for r in radical_elements(lattice)]
+    expected = Counter()
+    for w in vectors_with_norm_at_least(lattice, -6):
+        x = Mod2Vector(tuple(c % 2 for c in w), lattice)
+        rep = min(tuple(a ^ b for a, b in zip(x.bits, r.bits)) for r in radical)
+        expected[(norm(lattice, w) // 2) % 2, Mod2Vector(rep, lattice).bits] += 1
+    assert shell_classes(lattice, -6) == expected
+
+
+@pytest.mark.parametrize("key", TYPE_KEYS)
+def test_the_constructor_still_checks_every_residue(key):
+    lattice = lattice_for(key)
+    n = lattice.rank
+    for bad in ((0,) * (n + 1), (1,) * (n + 2)):
+        with pytest.raises(ValueError, match="bit length does not match the lattice rank"):
+            Mod2Vector(bad, lattice)
+        with pytest.raises(ValueError, match="bit length does not match the lattice rank"):
+            reduce_mod2(lattice, bad)
+    for i in range(n):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            Mod2Vector(tuple(2 * (j == i) for j in range(n)), lattice)
+    if n != 2:
+        with pytest.raises(ValueError, match="bit length does not match the lattice rank"):
+            Mod2Vector((0, 2), lattice)
+
+
+def test_a_bit_outside_zero_and_one_is_rejected():
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        Mod2Vector((0, 2), lattice_for("0|2"))
+
+
+def test_a_faulted_lattice_gets_its_own_cache_entries(e8):
+    clean = {x.bits: x for x in all_residues(e8)}
+    with gram_fault():
+        faulted = lattice_for("4|0")
+    assert faulted != e8 and hash(faulted) != hash(e8)
+    # Equal, not identical: an earlier faulted build may hold the entry.
+    assert all(x.lattice == faulted and x is not clean[x.bits] for x in all_residues(faulted))
+    assert len(enumerate_roots(faulted)) != len(enumerate_roots(e8))
+    # O1 + B12 is a root of E8 but has norm -4 once their edge is gone.
+    v = (1, 1) + (0,) * 6
+    assert (q0(reduce_mod2(e8, v)), q0(reduce_mod2(faulted, v))) == (1, 0)
+    assert all(clean[x.bits] is x for x in all_residues(lattice_for("4|0")))
