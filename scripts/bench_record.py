@@ -6,8 +6,8 @@
 and its end-to-end ``metrics`` as name -> [value, unit].  That directory
 is not tracked, and each run overwrites the last record of its workload
 and seed, so copy the records aside between runs.  Give the parent's
-records and the change's; the runs of one workload are reduced to the
-median of each metric.
+records and the change's; each metric of each workload is reported as
+the median over that workload's runs, with the sorted values of the runs.
 
     python scripts/bench_record.py --parent p1/*.json p2/*.json \\
         --change c1/*.json c2/*.json --out BENCH_11.json
@@ -48,16 +48,14 @@ def condense(paths: list[Path]) -> dict:
             raise ValueError(f"{path}: not an end-to-end record (--trace 0)")
         runs.setdefault(record["workload"], []).append(record["metrics"])
     side["workloads"] = {
-        workload: {
-            "runs": len(metrics),
-            "median": {
-                name: [statistics.median(m[name][0] for m in metrics), unit]
-                for name, (_, unit) in metrics[0].items()
-            },
-        }
+        workload: {name: _summary([m[name][0] for m in metrics], unit) for name, (_, unit) in metrics[0].items()}
         for workload, metrics in sorted(runs.items())
     }
     return side
+
+
+def _summary(values: list[float], unit: str) -> dict:
+    return {"unit": unit, "median": statistics.median(values), "runs": sorted(values)}
 
 
 def bench_record(parent: list[Path], change: list[Path]) -> dict:

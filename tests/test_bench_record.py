@@ -50,10 +50,16 @@ def test_parent_and_change_records_condense_to_medians(tmp_path, monkeypatch):
     assert (record["parent"]["source_sha256"], record["change"]["source_sha256"]) == ("s1", "s2")
     assert record["parent"]["host"] == "box" and record["parent"]["python"] == "CPython 3.11.7"
     assert record["parent"]["workloads"] == {
-        "shell_sweep": {"runs": 3, "median": {"op_p50_ms": [650.0, "ms"], "peak_rss_mb": [30.0, "MB"]}},
-        "verify": {"runs": 1, "median": {"op_p50_ms": [1400.0, "ms"], "peak_rss_mb": [23.0, "MB"]}},
+        "shell_sweep": {
+            "op_p50_ms": {"unit": "ms", "median": 650.0, "runs": [600.0, 650.0, 700.0]},
+            "peak_rss_mb": {"unit": "MB", "median": 30.0, "runs": [29.0, 30.0, 31.0]},
+        },
+        "verify": {
+            "op_p50_ms": {"unit": "ms", "median": 1400.0, "runs": [1400.0]},
+            "peak_rss_mb": {"unit": "MB", "median": 23.0, "runs": [23.0]},
+        },
     }
-    assert record["change"]["workloads"]["shell_sweep"]["median"]["op_p50_ms"] == [450.0, "ms"]
+    assert record["change"]["workloads"]["shell_sweep"]["op_p50_ms"]["median"] == 450.0
 
 
 @pytest.mark.parametrize(
