@@ -21,8 +21,11 @@ def main() -> int:
     parser.add_argument("--type", default="4|0", help="curve type, e.g. 4|0 or 1|1")
     parser.add_argument("--floor", type=int, default=-8, help="lowest self-pairing to scan")
     args = parser.parse_args()
+    try:
+        sextic = SexticType.from_key(args.type)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    sextic = SexticType.from_key(args.type)
     lattice = build_lattice(sextic)
     hits = shell_classes(lattice, args.floor)
     print(f"type {sextic.key}: {hits.total()} vectors with self-pairing >= {args.floor}")

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
 import sys
 from contextlib import contextmanager, nullcontext
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TypeVar
 
 from . import __version__, lattices
 from .homology_action import H1Class, action_matrix, class_coords, section_delta
@@ -39,7 +40,6 @@ from .tables import (
 )
 from .translations import H1Mod2Class, mw_act_h1_mod2
 from .tritangents import TritangentType, enumerate_tritangents
-from .verify import run_all
 
 
 class UsageError(Exception):
@@ -114,16 +114,12 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise UsageError(f"{what} must be comma-separated integers: {text!r}") from exc
 
 
-def _parse_sextic(key: str) -> SexticType:
-    try:
-        return SexticType.from_key(key)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+_Key = TypeVar("_Key", SexticType, SurfaceType)
 
 
-def _parse_surface(key: str) -> SurfaceType:
+def _parse_key(cls: type[_Key], key: str) -> _Key:
     try:
-        return SurfaceType.from_key(key)
+        return cls.from_key(key)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -158,7 +154,7 @@ def cmd_tables(which: str) -> tuple[Sequence[Report], int]:
 
 
 def cmd_classify(type_key: str) -> tuple[Sequence[Report], int]:
-    sextic = _parse_sextic(type_key)
+    sextic = _parse_key(SexticType, type_key)
     order = {t: i for i, t in enumerate(TritangentType)}
     listing = sorted(
         enumerate_tritangents(sextic),
@@ -186,22 +182,22 @@ def cmd_classify(type_key: str) -> tuple[Sequence[Report], int]:
 def gram_fault() -> Iterator[None]:
     """Corrupt the rank-8 lattice while the body runs: its O1-B12 edge is gone.
 
-    The censuses must then fail.  Lattices are cached by type, so the cache
-    is cleared on entry and on exit; every cache downstream is keyed on the
-    lattice value, whose edges differ, and needs no clearing.
+    The censuses must then fail.  The faulted lattice takes the clean one's
+    place in the lattice table until the body ends; every cache downstream
+    is keyed on the lattice value, whose edges differ, and needs no clearing.
     """
-    clean = lattices._GRAPHS["4|0"]
-    names, edges, ovals, name = clean
-    lattices._GRAPHS["4|0"] = (names, edges[1:], ovals, name)
-    build_lattice.cache_clear()
+    clean = lattices._LATTICES["4|0"]
+    lattices._LATTICES["4|0"] = dataclasses.replace(clean, edges=clean.edges[1:])
     try:
         yield
     finally:
-        lattices._GRAPHS["4|0"] = clean
-        build_lattice.cache_clear()
+        lattices._LATTICES["4|0"] = clean
 
 
 def cmd_verify(seed: int, fault: str | None) -> tuple[Sequence[Report], int]:
+    # Imported here: the other subcommands need none of the checks.
+    from .verify import run_all
+
     with gram_fault() if fault == "gram" else nullcontext():
         results = run_all(seed)
     failed = sum(1 for r in results if not r.passed)
@@ -228,7 +224,7 @@ def cmd_verify(seed: int, fault: str | None) -> tuple[Sequence[Report], int]:
 def cmd_act(
     surface_key: str, vector_text: str, class_text: str, mod2: bool
 ) -> tuple[Sequence[Report], int]:
-    surface = _parse_surface(surface_key)
+    surface = _parse_key(SurfaceType, surface_key)
     lattice = build_lattice(surface.sextic())
     vector = _parse_ints(vector_text, "the translation vector")
     if len(vector) != lattice.rank:
@@ -382,10 +378,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

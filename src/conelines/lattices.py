@@ -274,18 +274,23 @@ _GRAPHS: dict[str, tuple[tuple[str, ...], tuple[tuple[int, int], ...], tuple[int
 }
 
 
-@lru_cache(maxsize=None)
-def build_lattice(sextic: SexticType) -> GeometricLattice:
-    """The geometric root lattice of a sextic type, in its normative basis."""
-    names, edges, ovals, name = _GRAPHS[sextic.key]
-    return GeometricLattice(
+#: One lattice per type key, built once from ``_GRAPHS``.
+_LATTICES: dict[str, GeometricLattice] = {
+    key: GeometricLattice(
         name=name,
-        sextic=sextic,
+        sextic=SexticType.from_key(key),
         basis_names=names,
         edges=edges,
         oval_indices=ovals,
         bridge_indices=tuple(i for i in range(len(names)) if i not in ovals),
     )
+    for key, (names, edges, ovals, name) in _GRAPHS.items()
+}
+
+
+def build_lattice(sextic: SexticType) -> GeometricLattice:
+    """The geometric root lattice of a sextic type, in its normative basis."""
+    return _LATTICES[sextic.key]
 
 
 # ---------------------------------------------------------------------------

@@ -390,7 +390,6 @@ class TranslationAnalysis:
     cokernel: GroupInvariants
 
 
-@lru_cache(maxsize=None)
 def translation_analysis(lattice: GeometricLattice, star: int = 0) -> TranslationAnalysis:
     """Kernel, image and cokernel of the translation homomorphism.
 

@@ -6,6 +6,11 @@ linear algebra, brute-force sweeps) and compares it to a frozen value;
 check identifiers group into eleven numbered families plus the fault
 hook exercised by the command-line self test.
 
+Each family is a generator that takes the family's seeded rng and yields
+one ``CheckResult`` per check, in report order.  ``run_criterion``
+collects a family's rows; a family that raises reports one ``N.aborted``
+row in place of all of them.
+
 Frozen values come from two kinds of sources: published census tables
 (the code grid below, the strata sizes, the group analysis), and
 previously computed-then-frozen outputs such as the Hermite normal forms
@@ -20,6 +25,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
+from typing import Iterator
 
 from .homology_action import (
     H1Delta,
@@ -110,21 +116,14 @@ def _clip(text: str) -> str:
     return f"{text[:400]}... [{len(text)} chars]"
 
 
-def _eq(results: list[CheckResult], name: str, observed, expected) -> None:
-    results.append(
-        CheckResult(
-            name,
-            observed == expected,
-            _clip(_stable_repr(observed)),
-            _clip(_stable_repr(expected)),
-        )
+def _eq(name: str, observed, expected) -> CheckResult:
+    return CheckResult(
+        name, observed == expected, _clip(_stable_repr(observed)), _clip(_stable_repr(expected))
     )
 
 
-def _true(results: list[CheckResult], name: str, holds: bool, detail: str = "") -> None:
-    results.append(
-        CheckResult(name, bool(holds), detail if detail else repr(bool(holds)), "True")
-    )
+def _true(name: str, holds: bool, detail: str = "") -> CheckResult:
+    return CheckResult(name, bool(holds), detail if detail else repr(bool(holds)), "True")
 
 
 # ---------------------------------------------------------------------------
@@ -295,22 +294,19 @@ def _strip_brackets(code: str) -> str:
 # criteria
 
 
-def _criterion_1() -> list[CheckResult]:
+def _criterion_1(rng: random.Random) -> Iterator[CheckResult]:
     """Tritangent censuses by type."""
-    results: list[CheckResult] = []
     order = tuple(TritangentType)
     for sextic in ALL_SEXTIC_TYPES:
         key = sextic.key
         census = type_census(sextic)
         observed = tuple(census[t] for t in order)
-        _eq(results, f"1.census {key}", observed, _CENSUS_GRID[key])
-        _eq(results, f"1.total {key}", sum(observed), sum(_CENSUS_GRID[key]))
-    return results
+        yield _eq(f"1.census {key}", observed, _CENSUS_GRID[key])
+        yield _eq(f"1.total {key}", sum(observed), sum(_CENSUS_GRID[key]))
 
 
-def _criterion_2() -> list[CheckResult]:
+def _criterion_2(rng: random.Random) -> Iterator[CheckResult]:
     """Mod-2 strata sizes and the odd-radical halving identity."""
-    results: list[CheckResult] = []
     for sextic in ALL_SEXTIC_TYPES:
         key = sextic.key
         profile = strata_profile(build_lattice(sextic))
@@ -321,35 +317,30 @@ def _criterion_2() -> list[CheckResult]:
             profile.size_r1,
             profile.size_v1_minus_r1,
         )
-        _eq(results, f"2.strata {key}", sizes, _STRATA_EXPECTED[key][0])
-        _eq(results, f"2.radical-values {key}", profile.r_counts, _STRATA_EXPECTED[key][1])
+        yield _eq(f"2.strata {key}", sizes, _STRATA_EXPECTED[key][0])
+        yield _eq(f"2.radical-values {key}", profile.r_counts, _STRATA_EXPECTED[key][1])
     for key in ("0|0", "1|0", "2|0", "3|0", "0|1", "0|2", "0|3"):
         profile = strata_profile(build_lattice(SexticType.from_key(key)))
         odd = profile.r_counts[1] + profile.r_counts[3]
-        _eq(results, f"2.odd-radical-half {key}", 2 * odd, profile.size_r)
-    return results
+        yield _eq(f"2.odd-radical-half {key}", 2 * odd, profile.size_r)
 
 
-def _criterion_3() -> list[CheckResult]:
+def _criterion_3(rng: random.Random) -> Iterator[CheckResult]:
     """Separated/tangent oval pair censuses."""
-    results: list[CheckResult] = []
-
     census4 = pair_census(SexticType(4, 0))
     tan_sets = {s_tan for _, s_tan in census4}
     proper = {
         frozenset(s) for r in range(4) for s in combinations((1, 2, 3, 4), r)
     }
-    _eq(results, "3.tangency-sets 4|0", len(tan_sets), 15)
-    _eq(results, "3.tangency-sets-proper 4|0", tan_sets, proper)
+    yield _eq("3.tangency-sets 4|0", len(tan_sets), 15)
+    yield _eq("3.tangency-sets-proper 4|0", tan_sets, proper)
     partner_counts = Counter(s_tan for _, s_tan in census4)
-    _true(
-        results,
+    yield _true(
         "3.partners-8 4|0",
         all(partner_counts[s] == 8 for s in proper),
         f"partners per tangency set: {sorted(set(partner_counts.values()))}",
     )
-    _true(
-        results,
+    yield _true(
         "3.pairs-once 4|0",
         all(c == 1 for c in census4.values()),
         f"pair multiplicities: {sorted(set(census4.values()))}",
@@ -366,56 +357,49 @@ def _criterion_3() -> list[CheckResult]:
                 n = 2 ** (3 - p) if (s_in or s_tan) else 2 ** (3 - p) - (4 - p)
                 if n:
                     expected[(s_in, s_tan)] = n
-        _eq(results, f"3.pair-census {key}", census, expected)
+        yield _eq(f"3.pair-census {key}", census, expected)
 
     one = frozenset({1})
-    _eq(
-        results,
+    yield _eq(
         "3.pair-census 1|1",
         pair_census(SexticType(1, 1)),
         {(one, frozenset()): 4, (frozenset(), one): 4, (one, one): 4},
     )
-    return results
 
 
-def _criterion_4() -> list[CheckResult]:
+def _criterion_4(rng: random.Random) -> Iterator[CheckResult]:
     """Crossing-code censuses against the code atlas."""
-    results: list[CheckResult] = []
     census4 = code_census(SexticType(4, 0))
     atlas = expanded_code_atlas()
-    _eq(results, "4.codes-total 4|0", sum(census4.values()), 120)
-    _eq(results, "4.codes-multiset 4|0", census4, atlas)
+    yield _eq("4.codes-total 4|0", sum(census4.values()), 120)
+    yield _eq("4.codes-multiset 4|0", census4, atlas)
 
     for p in (3, 1):
         key = f"{p}|0"
         census = code_census(SexticType.from_key(key))
-        _eq(results, f"4.codes-set {key}", frozenset(census), derived_code_set(p))
+        yield _eq(f"4.codes-set {key}", frozenset(census), derived_code_set(p))
 
     census2 = code_census(SexticType(2, 0))
     stripped = Counter(_strip_brackets(c) for c in census2.elements())
-    _eq(
-        results,
+    yield _eq(
         "4.codes-support 2|0",
         frozenset(stripped),
         frozenset(_strip_brackets(c) for c in derived_code_set(2)),
     )
-    _eq(
-        results,
+    yield _eq(
         "4.codes-multiplicities 2|0",
         stripped,
         Counter({c: 1 if c in _P2_SINGLETONS else 2 for c in stripped}),
     )
-    _eq(results, "4.codes-total 2|0", sum(census2.values()), 30)
+    yield _eq("4.codes-total 2|0", sum(census2.values()), 30)
 
-    _eq(results, "4.codes-census 1|0", code_census(SexticType(1, 0)), _EXPECTED_CODES_1_0)
-    _eq(results, "4.codes-census 1|1", code_census(SexticType(1, 1)), _EXPECTED_CODES_1_1)
-    _eq(
-        results,
+    yield _eq("4.codes-census 1|0", code_census(SexticType(1, 0)), _EXPECTED_CODES_1_0)
+    yield _eq("4.codes-census 1|1", code_census(SexticType(1, 1)), _EXPECTED_CODES_1_1)
+    yield _eq(
         "4.band-groups |||",
         {label: len(group) for label, group in threeJ_grouping().items()},
         {"J1": 4, "BAND_A": 4, "BAND_B": 4},
     )
-    return results
 
 
 def _translation_row(surface: SurfaceType, star: int = 0):
@@ -430,16 +414,14 @@ def _translation_row(surface: SurfaceType, star: int = 0):
     ), analysis
 
 
-def _criterion_5() -> list[CheckResult]:
+def _criterion_5(rng: random.Random) -> Iterator[CheckResult]:
     """Translation homomorphism: group, image, kernel, cokernel."""
-    results: list[CheckResult] = []
     for sextic in ALL_SEXTIC_TYPES:
         key = sextic.key
         surface = sextic.surface()
         row, analysis = _translation_row(surface)
-        _eq(results, f"5.analysis {surface.key}", row, _ANALYSIS_EXPECTED[surface.key])
-        _eq(
-            results,
+        yield _eq(f"5.analysis {surface.key}", row, _ANALYSIS_EXPECTED[surface.key])
+        yield _eq(
             f"5.kernel {key}",
             hermite_rows(analysis.kernel_basis),
             hermite_rows(_KERNEL_GENERATORS[key]),
@@ -450,8 +432,7 @@ def _criterion_5() -> list[CheckResult]:
     for star in (0, 1):
         row, analysis = _translation_row(SurfaceType(0, 0, double_klein=True), star)
         rows.append((row, hermite_rows(analysis.kernel_basis)))
-    _eq(results, "5.swap-choice-invariance K+K", rows[0], rows[1])
-    return results
+    yield _eq("5.swap-choice-invariance K+K", rows[0], rows[1])
 
 
 def _random_element(rng: random.Random, surface: SurfaceType) -> ModSElement:
@@ -468,9 +449,24 @@ def _random_element(rng: random.Random, surface: SurfaceType) -> ModSElement:
     )
 
 
-def _criterion_6(rng: random.Random) -> list[CheckResult]:
+def _random_delta(rng: random.Random, p: int) -> H1Delta:
+    """A section difference on p handles: handle-cycle coefficients in [-4, 4], bits elsewhere."""
+    return H1Delta(
+        rng.randrange(2), tuple((rng.randrange(-4, 5), rng.randrange(2)) for _ in range(p))
+    )
+
+
+def _random_h2(rng: random.Random, n: int, canon: int, part: int, line: int) -> H2ClassX:
+    """A class on a rank-n lattice, each coefficient drawn from [-bound, bound] for its bound."""
+    return H2ClassX(
+        rng.randrange(-canon, canon + 1),
+        tuple(rng.randrange(-part, part + 1) for _ in range(n)),
+        rng.randrange(-line, line + 1),
+    )
+
+
+def _criterion_6(rng: random.Random) -> Iterator[CheckResult]:
     """Group laws of the fiberwise mapping classes."""
-    results: list[CheckResult] = []
     for sextic in ALL_SEXTIC_TYPES:
         key = sextic.key
         lattice = build_lattice(sextic)
@@ -484,7 +480,7 @@ def _criterion_6(rng: random.Random) -> list[CheckResult]:
             if lhs != rhs:
                 additive = False
                 break
-        _true(results, f"6.translation-additive {key}", additive)
+        yield _true(f"6.translation-additive {key}", additive)
 
         laws = True
         for _ in range(100):
@@ -493,13 +489,12 @@ def _criterion_6(rng: random.Random) -> list[CheckResult]:
                 laws = False
             if mods_mul(mods_mul(g, h), k) != mods_mul(g, mods_mul(h, k)):
                 laws = False
-        _true(results, f"6.commutative-associative {surface.key}", laws)
+        yield _true(f"6.commutative-associative {surface.key}", laws)
 
         if not surface.double_klein:
             delta = mods_delta(surface)
             ident = mods_identity(surface)
-            _true(
-                results,
+            yield _true(
                 f"6.involution {surface.key}",
                 mods_mul(delta, delta) == ident and delta != ident,
                 f"delta^2 == 1: {mods_mul(delta, delta) == ident}, delta != 1: {delta != ident}",
@@ -508,16 +503,14 @@ def _criterion_6(rng: random.Random) -> list[CheckResult]:
     for key, chain in _DELTA_CHAINS.items():
         sextic = SexticType.from_key(key)
         lattice = build_lattice(sextic)
-        _eq(
-            results,
+        yield _eq(
             f"6.involution-chain {key}",
             mods_delta(sextic.surface()),
             translation_class(lattice, chain),
         )
     lattice0 = build_lattice(SexticType(0, 0))
     surface0 = SexticType(0, 0).surface()
-    _true(
-        results,
+    yield _true(
         "6.involution-chain 0|0",
         all(
             mods_delta(surface0)
@@ -525,25 +518,16 @@ def _criterion_6(rng: random.Random) -> list[CheckResult]:
             for i in range(4)
         ),
     )
-    return results
 
 
-def _criterion_7(rng: random.Random) -> list[CheckResult]:
+def _criterion_7(rng: random.Random) -> Iterator[CheckResult]:
     """Section-difference group law versus the homology action matrices."""
-    results: list[CheckResult] = []
     surfaces = [SexticType.from_key(k).surface() for k in ("4|0", "3|0", "2|0", "1|0", "1|1")]
     multiplicative = law_match = triangular = True
     for surface in surfaces:
         p = surface.handles
         for _ in range(200):
-            d1 = H1Delta(
-                rng.randrange(2),
-                tuple((rng.randrange(-4, 5), rng.randrange(2)) for _ in range(p)),
-            )
-            d2 = H1Delta(
-                rng.randrange(2),
-                tuple((rng.randrange(-4, 5), rng.randrange(2)) for _ in range(p)),
-            )
+            d1, d2 = _random_delta(rng, p), _random_delta(rng, p)
             m1, m2 = action_matrix(surface, d1), action_matrix(surface, d2)
             total = mw_sum(surface, d1, d2)
             if action_matrix(surface, total).entries != action_mul(m1, m2).entries:
@@ -560,36 +544,25 @@ def _criterion_7(rng: random.Random) -> list[CheckResult]:
                 )
                 if prod != ((-1) ** kc, -2 * mc, (-1) ** kc):
                     triangular = False
-    _true(results, "7.matrix-multiplicative", multiplicative)
-    _true(results, "7.matrix-matches-sum-law", law_match)
-    _true(results, "7.triangular-blocks", triangular)
-    return results
+    yield _true("7.matrix-multiplicative", multiplicative)
+    yield _true("7.matrix-matches-sum-law", law_match)
+    yield _true("7.triangular-blocks", triangular)
 
 
-def _criterion_8(rng: random.Random) -> list[CheckResult]:
+def _criterion_8(rng: random.Random) -> Iterator[CheckResult]:
     """Unipotent action on second homology."""
-    results: list[CheckResult] = []
     preserved = True
     for key in ("4|0", "2|0", "1|1"):
         lattice = build_lattice(SexticType.from_key(key))
         n = lattice.rank
         for _ in range(200):
             w = tuple(rng.randrange(-3, 4) for _ in range(n))
-            a = H2ClassX(
-                rng.randrange(-5, 6),
-                tuple(rng.randrange(-3, 4) for _ in range(n)),
-                rng.randrange(-2, 3),
-            )
-            b = H2ClassX(
-                rng.randrange(-5, 6),
-                tuple(rng.randrange(-3, 4) for _ in range(n)),
-                rng.randrange(-2, 3),
-            )
+            a, b = _random_h2(rng, n, 5, 3, 2), _random_h2(rng, n, 5, 3, 2)
             if pairing_x(lattice, mw_act_h2(lattice, w, a), mw_act_h2(lattice, w, b)) != pairing_x(
                 lattice, a, b
             ):
                 preserved = False
-    _true(results, "8.pairing-preserved", preserved)
+    yield _true("8.pairing-preserved", preserved)
 
     e8 = build_lattice(SexticType(4, 0))
     roots = enumerate_roots(e8)
@@ -603,8 +576,7 @@ def _criterion_8(rng: random.Random) -> list[CheckResult]:
             if moved != line_class_on_X(e8, vadd(w1, w2)) or moved.canon != k_expected:
                 coefficient_law = False
                 bad_pairs += 1
-    _true(
-        results,
+    yield _true(
         "8.composition-coefficient",
         coefficient_law,
         f"failing root pairs: {bad_pairs}",
@@ -615,12 +587,7 @@ def _criterion_8(rng: random.Random) -> list[CheckResult]:
         lattice = build_lattice(SexticType.from_key(key))
         n = lattice.rank
         samples = [H2ClassX(0, tuple(0 for _ in range(n)), 1)] + [
-            H2ClassX(
-                rng.randrange(-4, 5),
-                tuple(rng.randrange(-2, 3) for _ in range(n)),
-                rng.randrange(-1, 2),
-            )
-            for _ in range(3)
+            _random_h2(rng, n, 4, 2, 1) for _ in range(3)
         ]
         for w in enumerate_roots(lattice):
             for x in samples:
@@ -632,29 +599,25 @@ def _criterion_8(rng: random.Random) -> list[CheckResult]:
                 )
                 if got != want:
                     reduction = False
-    _true(results, "8.mod2-reduction", reduction)
-    return results
+    yield _true("8.mod2-reduction", reduction)
 
 
-def _criterion_9(rng: random.Random) -> list[CheckResult]:
+def _criterion_9(rng: random.Random) -> Iterator[CheckResult]:
     """Brute-force realizability sweeps."""
-    results: list[CheckResult] = []
-
     e8 = build_lattice(SexticType(4, 0))
     hits = shell_classes(e8, -8)
-    _eq(results, "9.shell-size 4|0", hits.total(), 26641)
+    yield _eq("9.shell-size 4|0", hits.total(), 26641)
     parity_ok = all(mu == q0(Mod2Vector(bits, e8)) for mu, bits in hits)
-    _true(results, "9.parity-forced 4|0", parity_ok)
+    yield _true("9.parity-forced 4|0", parity_ok)
     wanted = {(q0(v), v.bits) for v in all_residues(e8)}
-    _eq(results, "9.classes-attained 4|0", len(hits), 256)
-    _eq(results, "9.classes-attained-set 4|0", set(hits), wanted)
+    yield _eq("9.classes-attained 4|0", len(hits), 256)
+    yield _eq("9.classes-attained-set 4|0", set(hits), wanted)
 
     d6 = build_lattice(SexticType(2, 0))
     attained6 = set(shell_classes(d6, -8))
     reps6 = {coset_representative(v).bits for v in all_residues(d6)}
-    _eq(results, "9.classes-attained 2|0", len(attained6), 32)
-    _eq(
-        results,
+    yield _eq("9.classes-attained 2|0", len(attained6), 32)
+    yield _eq(
         "9.classes-attained-set 2|0",
         attained6,
         {(mu, rep) for mu in (0, 1) for rep in reps6},
@@ -686,7 +649,7 @@ def _criterion_9(rng: random.Random) -> list[CheckResult]:
             # membership route: the split twists' share
             m_parity[(fiber_bit + forced - (m[1] + m[3])) % 2] += 1
         mismatches += n_parity[0] * m_parity[1] + n_parity[1] * m_parity[0]
-    _true(results, "9.obstruction-membership-sweep K#4T2", mismatches == 0, f"mismatching normal forms: {mismatches}")
+    yield _true("9.obstruction-membership-sweep K#4T2", mismatches == 0, f"mismatching normal forms: {mismatches}")
 
     spot_ok = True
     for _ in range(200):
@@ -700,57 +663,56 @@ def _criterion_9(rng: random.Random) -> list[CheckResult]:
         )
         if predicted != is_translation_class(g):
             spot_ok = False
-    _true(results, "9.obstruction-membership-spot K#4T2", spot_ok)
-    return results
+    yield _true("9.obstruction-membership-spot K#4T2", spot_ok)
 
 
-def _criterion_10() -> list[CheckResult]:
+def _criterion_10(rng: random.Random) -> Iterator[CheckResult]:
     """Real-tritangent count of the conic pencil quotient."""
-    results: list[CheckResult] = []
     t_four = real_tritangent_total(SexticType(4, 0))
     t_band = real_tritangent_total(SexticType(1, 1))
-    _eq(results, "10.totals", (t_four, t_band), (120, 24))
-    _eq(results, "10.conic-count", conic_count(t_four, t_band, 24), 48)
-    return results
+    yield _eq("10.totals", (t_four, t_band), (120, 24))
+    yield _eq("10.conic-count", conic_count(t_four, t_band, 24), 48)
 
 
-def _criterion_11() -> list[CheckResult]:
+def _criterion_11(rng: random.Random) -> Iterator[CheckResult]:
     """Counting section classes of real lines."""
-    results: list[CheckResult] = []
     for sextic in ALL_SEXTIC_TYPES:
         surface = sextic.surface()
         counted = count_line_classes(surface)
-        _eq(results, f"11.count {surface.key}", counted.finite, _LINE_CLASS_EXPECTED[surface.key])
+        yield _eq(f"11.count {surface.key}", counted.finite, _LINE_CLASS_EXPECTED[surface.key])
         if counted.finite is None:
             witnesses = counted.witnesses(100)
-            _eq(results, f"11.witnesses {surface.key}", len(set(witnesses)), 100)
+            yield _eq(f"11.witnesses {surface.key}", len(set(witnesses)), 100)
     for key in ("4|0", "3|0", "2|0", "1|0", "1|1"):
         surface = SexticType.from_key(key).surface()
         orbit = {vanishing_orbit(surface, 1, n) for n in range(100)}
-        _eq(results, f"11.vanishing-orbit {surface.key}", len(orbit), 100)
-    return results
+        yield _eq(f"11.vanishing-orbit {surface.key}", len(orbit), 100)
 
 
 _CRITERIA = {
-    1: lambda rng: _criterion_1(),
-    2: lambda rng: _criterion_2(),
-    3: lambda rng: _criterion_3(),
-    4: lambda rng: _criterion_4(),
-    5: lambda rng: _criterion_5(),
+    1: _criterion_1,
+    2: _criterion_2,
+    3: _criterion_3,
+    4: _criterion_4,
+    5: _criterion_5,
     6: _criterion_6,
     7: _criterion_7,
     8: _criterion_8,
     9: _criterion_9,
-    10: lambda rng: _criterion_10(),
-    11: lambda rng: _criterion_11(),
+    10: _criterion_10,
+    11: _criterion_11,
 }
 
 
 def run_criterion(number: int, seed: int = 0) -> list[CheckResult]:
-    """Run one numbered check family; exceptions become failed checks."""
+    """Run one numbered check family; an exception becomes its one failed check.
+
+    The family's rows are collected inside the ``try``, so a family that
+    raises part way reports only the ``N.aborted`` row.
+    """
     rng = random.Random((seed << 16) + number)
     try:
-        return _CRITERIA[number](rng)
+        return list(_CRITERIA[number](rng))
     except Exception as exc:  # noqa: BLE001 - deliberate: faults must surface as FAILs
         return [
             CheckResult(
@@ -764,7 +726,4 @@ def run_criterion(number: int, seed: int = 0) -> list[CheckResult]:
 
 def run_all(seed: int = 0) -> list[CheckResult]:
     """Run every check family in order. Deterministic for a fixed seed."""
-    results: list[CheckResult] = []
-    for number in sorted(_CRITERIA):
-        results.extend(run_criterion(number, seed))
-    return results
+    return [result for number in sorted(_CRITERIA) for result in run_criterion(number, seed)]

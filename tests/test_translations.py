@@ -184,6 +184,21 @@ def test_scan_realizability_script(key):
     assert "vectors whose fiber bit disagrees with the refinement: 0" in lines
 
 
+@pytest.mark.parametrize("key", ["9|9", "K#T2"])
+def test_scan_realizability_rejects_a_bad_type_with_a_usage_message(key):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "scan_realizability.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--type", key],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "usage:" in done.stderr and "sextic type" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_scan_realizability_output_is_pinned_for_every_type(monkeypatch, capsys):
     # The script's --floor -8 output over all eleven types, in
     # ALL_SEXTIC_TYPES order (386 lines), run in this process.
