@@ -15,7 +15,9 @@ sends these relators to zero, and the drifts, the split-twist exponents
 and the total fiber-twist parity identify the group with Z^2p x Z/2.
 These linear coordinates are the group's one coordinate system: the
 group law, the normal form of raw exponents (half twists reduced to
-bits) and the translation map are all sums in them.
+bits) and the translation map are all sums in them.  The normal form is
+also the only definition of a well-formed element: outside data must be
+its own normal form, and elements built from coordinates are trusted.
 
 Translating along a section moves every fiber by an element of the
 vanishing-cycle lattice; ``translation_class`` is the resulting
@@ -28,6 +30,7 @@ cached presentation ``_image_matrix`` is read by ``translation_class``,
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -50,8 +53,6 @@ from .lattices import (
     unit_vec,
 )
 
-_BITS = frozenset((0, 1))
-
 
 @dataclass(frozen=True)
 class ModSElement:
@@ -62,7 +63,8 @@ class ModSElement:
     per handle (split twists).  Handle-free surfaces other than the
     double Klein bottle carry a single fiber-twist parity; the double
     Klein bottle carries the two commuting involutions ``swap`` and
-    ``shift`` of its components.
+    ``shift`` of its components.  The constructor checks one rule: the data
+    is its own normal form (``_normal_exponents`` of its coordinates).
     """
 
     surface: SurfaceType
@@ -73,33 +75,11 @@ class ModSElement:
     shift: int = 0
 
     def __post_init__(self) -> None:
-        p = self.surface.handles
-        if self.surface.double_klein:
-            shape_ok = (
-                self.half_twists == ()
-                and self.fiber_twists == ()
-                and self.split_twists == ()
-                and self.swap in (0, 1)
-                and self.shift in (0, 1)
-            )
-        elif p == 0:
-            shape_ok = (
-                self.half_twists == ()
-                and len(self.fiber_twists) == 1
-                and self.fiber_twists[0] in (0, 1)
-                and self.split_twists == ()
-                and self.swap == self.shift == 0
-            )
-        else:
-            shape_ok = (
-                len(self.half_twists) == p
-                and _BITS.issuperset(self.half_twists)
-                and len(self.fiber_twists) == p
-                and len(self.split_twists) == p
-                and self.swap == self.shift == 0
-            )
-        if not shape_ok:
-            raise ValueError(f"malformed element data for surface {self.surface}")
+        data = (self.half_twists, self.fiber_twists, self.split_twists, self.swap, self.shift)
+        with suppress(ValueError, TypeError):
+            if data == _normal_exponents(self.surface, _coordinates(self.surface, *data)):
+                return
+        raise ValueError(f"malformed element data for surface {self.surface}")
 
 
 def _coordinates(
@@ -253,30 +233,38 @@ def linear_coordinates(g: ModSElement) -> tuple[int, ...]:
     return _coordinates(g.surface, g.half_twists, g.fiber_twists, g.split_twists, g.swap, g.shift)
 
 
-def from_linear_coordinates(surface: SurfaceType, coords: Sequence[int]) -> ModSElement:
-    """The element with the given linear coordinates: the one normal form.
+def _normal_exponents(
+    surface: SurfaceType, coords: Sequence[int]
+) -> tuple[Vec, Vec, Vec, int, int]:
+    """The normal exponents (half, fiber and split twists, swap, shift)
+    with the given linear coordinates: the inverse of ``_coordinates``.
 
     Any integer tuple of the right length is accepted; the parity slot
     (or the swap/shift bits) is read mod 2.  Each half-twist bit is
     kappa_i = (d_i + parity) mod 2, which makes every difference halved
     below even, so the fiber twists are integers.
     """
-    if surface.double_klein:
-        if len(coords) != 2:
-            raise ValueError("expected (swap, shift)")
-        return ModSElement(surface, swap=coords[0] % 2, shift=coords[1] % 2)
     p = surface.handles
+    dim = 2 if surface.double_klein else 2 * p + 1 if p else 1
+    if len(coords) != dim:
+        raise ValueError(f"expected {dim} coordinates")
+    if surface.double_klein:
+        return (), (), (), coords[0] % 2, coords[1] % 2
     if p == 0:
-        if len(coords) != 1:
-            raise ValueError("expected a single twist bit")
-        return ModSElement(surface, fiber_twists=(coords[0] % 2,))
-    if len(coords) != 2 * p + 1:
-        raise ValueError(f"expected {2 * p + 1} coordinates")
+        return (), (coords[0] % 2,), (), 0, 0
     kappa = tuple((d + coords[2 * p]) % 2 for d in coords[:p])
     # 2 (n_1 + ... + n_i) - total; the last one is the total itself.
     sums = [d - k for d, k in zip(coords, kappa)]
     n = tuple((b - a) // 2 for a, b in zip([-sums[-1], *sums], sums))
-    return ModSElement(surface, kappa, n, tuple(coords[p : 2 * p]))
+    return kappa, n, tuple(coords[p : 2 * p]), 0, 0
+
+
+def from_linear_coordinates(surface: SurfaceType, coords: Sequence[int]) -> ModSElement:
+    """The element with the given linear coordinates: the one normal form.
+    Its data is normal by construction, so it skips the constructor's check."""
+    g = object.__new__(ModSElement)
+    vars(g).update(zip(ModSElement.__match_args__, (surface, *_normal_exponents(surface, coords))))
+    return g
 
 
 def _coordinate_relators(surface: SurfaceType) -> tuple[int, tuple[Vec, ...]]:

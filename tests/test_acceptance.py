@@ -1,7 +1,8 @@
 """Acceptance gate: one test per numbered criterion, exact comparisons only.
 
-Criteria 1-11 share a single deterministic verification run; criterion 12
-drives the command-line entry point itself, including `verify --fault`.
+Criteria 1-11 and the rng pins share one deterministic run of the eleven
+check families; criterion 12 drives the command-line entry point itself,
+including `verify --fault`, and pins the whole report byte for byte.
 """
 
 import hashlib
@@ -12,7 +13,6 @@ import sys
 import pytest
 
 from conelines import cli, verify
-from conelines.verify import run_all
 from conftest import src_env
 
 #: sha256 of the markdown reports of ``verify`` and ``verify --fault gram``
@@ -22,12 +22,24 @@ HURT_REPORT_SHA256 = "a6b73943a77c5d34b0c84f18351362c961f85e0007598f630cf46682d1
 
 
 @pytest.fixture(scope="module")
-def results():
-    return run_all(seed=0)
+def families():
+    """Per family N, once: its rows from ``random.Random(N)``, the generator
+    ``run_criterion(N, seed=0)`` gives it, and ``rng.getrandbits(32)`` after
+    them.  Filled on first use, so a family that raises fails only its own
+    tests."""
+    return {}
 
 
-def _criterion(results, number):
-    family = [r for r in results if r.name.split(".")[0] == str(number)]
+def _family(families, number):
+    if number not in families:
+        rng = random.Random(number)
+        families[number] = list(verify._CRITERIA[number](rng)), rng.getrandbits(32)
+    return families[number]
+
+
+def _criterion(families, number):
+    rows, _ = _family(families, number)
+    family = [r for r in rows if r.name.split(".")[0] == str(number)]
     assert family, f"criterion {number} produced no checks"
     failures = [r for r in family if not r.passed]
     detail = "\n".join(
@@ -36,48 +48,48 @@ def _criterion(results, number):
     assert not failures, f"criterion {number} failed:\n{detail}"
 
 
-def test_criterion_01_tritangent_census(results):
-    _criterion(results, 1)
+def test_criterion_01_tritangent_census(families):
+    _criterion(families, 1)
 
 
-def test_criterion_02_mod2_strata(results):
-    _criterion(results, 2)
+def test_criterion_02_mod2_strata(families):
+    _criterion(families, 2)
 
 
-def test_criterion_03_pair_census(results):
-    _criterion(results, 3)
+def test_criterion_03_pair_census(families):
+    _criterion(families, 3)
 
 
-def test_criterion_04_code_census(results):
-    _criterion(results, 4)
+def test_criterion_04_code_census(families):
+    _criterion(families, 4)
 
 
-def test_criterion_05_translation_analysis(results):
-    _criterion(results, 5)
+def test_criterion_05_translation_analysis(families):
+    _criterion(families, 5)
 
 
-def test_criterion_06_group_laws(results):
-    _criterion(results, 6)
+def test_criterion_06_group_laws(families):
+    _criterion(families, 6)
 
 
-def test_criterion_07_homology_matrices(results):
-    _criterion(results, 7)
+def test_criterion_07_homology_matrices(families):
+    _criterion(families, 7)
 
 
-def test_criterion_08_unipotent_action(results):
-    _criterion(results, 8)
+def test_criterion_08_unipotent_action(families):
+    _criterion(families, 8)
 
 
-def test_criterion_09_realizability_sweeps(results):
-    _criterion(results, 9)
+def test_criterion_09_realizability_sweeps(families):
+    _criterion(families, 9)
 
 
-def test_criterion_10_conic_pencil_count(results):
-    _criterion(results, 10)
+def test_criterion_10_conic_pencil_count(families):
+    _criterion(families, 10)
 
 
-def test_criterion_11_line_class_counts(results):
-    _criterion(results, 11)
+def test_criterion_11_line_class_counts(families):
+    _criterion(families, 11)
 
 
 #: ``rng.getrandbits(32)`` after family N has drawn all its samples from
@@ -100,11 +112,10 @@ RNG_AFTER_FAMILY = {
 
 
 @pytest.mark.parametrize("number", sorted(RNG_AFTER_FAMILY))
-def test_each_family_draws_a_pinned_share_of_its_rng(number):
-    rng = random.Random(number)
-    rows = list(verify._CRITERIA[number](rng))
+def test_each_family_draws_a_pinned_share_of_its_rng(families, number):
+    rows, after = _family(families, number)
     assert rows and all(r.passed for r in rows)
-    assert rng.getrandbits(32) == RNG_AFTER_FAMILY[number]
+    assert after == RNG_AFTER_FAMILY[number]
 
 
 def test_criterion_12_cli_self_check(tmp_path, capsys):

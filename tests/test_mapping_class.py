@@ -1,12 +1,14 @@
 """Fiberwise mapping classes: group laws and the translation map."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelines.homology_action import split_twist_preimage
 from conelines.intlinalg import quotient_invariants
-from conelines.lattices import SexticType, build_lattice, smul, unit_vec, vadd
+from conelines.lattices import SexticType, SurfaceType, build_lattice, smul, unit_vec, vadd
 from conelines.mapping_class import (
     ModSElement,
     _coordinate_relators,
@@ -316,10 +318,54 @@ def test_fiber_twist_is_an_involution_without_handles():
     assert t != mods_identity(surface)
 
 
-def test_malformed_elements_are_rejected():
+_TWIST_SLOTS = ("half_twists", "fiber_twists", "split_twists")
+
+
+def _malformed_cases():
+    """One bad value per field on five surfaces, each otherwise the identity."""
+    for key in ("K#4T2", "K#T2+S2", "K", "K+4S2", "K+K"):
+        surface = SurfaceType.from_key(key)
+        one = mods_identity(surface)
+        p = surface.handles
+        cases = {f"{slot}-long": (slot, getattr(one, slot) + (0,)) for slot in _TWIST_SLOTS}
+        if p:
+            cases["half-twist-2"] = ("half_twists", (2,) + (0,) * (p - 1))
+        elif surface.double_klein:
+            cases["fiber-twist-on-K+K"] = ("fiber_twists", (1,))
+            cases["split-twist-on-K+K"] = ("split_twists", (1,))
+        else:
+            cases["fiber-bit-2"] = ("fiber_twists", (2,))
+        cases["swap-2"] = ("swap", 2)
+        cases["shift-2"] = ("shift", 2)
+        for slot in _TWIST_SLOTS:
+            cases[f"{slot}-list"] = (slot, list(getattr(one, slot)))
+        for name, (slot, bad) in cases.items():
+            yield pytest.param(surface, slot, bad, id=f"{key}-{name}")
+
+
+@pytest.mark.parametrize("surface,slot,bad", _malformed_cases())
+def test_malformed_elements_are_rejected(surface, slot, bad):
+    data = {**vars(mods_identity(surface)), slot: bad}
+    with pytest.raises(ValueError, match="malformed element data"):
+        ModSElement(**data)
+
+
+def test_wrong_length_exponents_are_rejected_by_the_builder():
     surface = SexticType.from_key("2|0").surface()
     with pytest.raises(ValueError):
         mods_element(surface, (0,), (0, 0), (0, 0))
-    band = SexticType.from_key("|||").surface()
-    with pytest.raises(ValueError):
-        ModSElement(band, half_twists=(1, 0))
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=str)
+def test_elements_built_from_coordinates_are_well_formed(surface):
+    # from_linear_coordinates skips the constructor's check; what it
+    # builds must pass that check and read back its coordinates.
+    rng = random.Random(13)
+    dim = len(linear_coordinates(mods_identity(surface)))
+    parity = dim - 1 if surface.handles else 0
+    for _ in range(200):
+        coords = tuple(rng.randint(-9, 9) for _ in range(dim))
+        g = from_linear_coordinates(surface, coords)
+        checked = ModSElement(surface, g.half_twists, g.fiber_twists, g.split_twists, g.swap, g.shift)
+        assert g == checked and hash(g) == hash(checked) and repr(g) == repr(checked)
+        assert linear_coordinates(g) == coords[:parity] + tuple(c % 2 for c in coords[parity:])
