@@ -10,7 +10,10 @@ Four subcommands share one report pipeline:
 
 Reports render as markdown (default), csv, or json; json documents carry
 ``{title, columns, rows, meta{version, seed}}`` with sorted keys.  Exit
-codes: 0 success, 1 verification failure, 2 usage error.
+codes: 0 success, 1 verification failure, 2 usage error.  Every bad input
+is decided in ``main``: argparse prints its usage message, and any
+``ValueError`` (the library's error for bad input) or ``OSError`` becomes
+one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ import json
 import re
 import sys
 from contextlib import contextmanager, nullcontext
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from . import __version__, lattices
 from .homology_action import H1Class, action_matrix, class_coords, section_delta
-from .lattices import SexticType, SurfaceType, UnsupportedTypeError, build_lattice
+from .lattices import SexticType, SurfaceType, build_lattice
 from .mapping_class import ModSElement, translation_class
 from .mod2 import Mod2Vector
 from .tables import (
@@ -40,10 +43,6 @@ from .tables import (
 )
 from .translations import H1Mod2Class, mw_act_h1_mod2
 from .tritangents import TritangentType, enumerate_tritangents
-
-
-class UsageError(Exception):
-    """Bad command-line input (wrong key, wrong dimension): exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +110,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"{what} must be comma-separated integers: {text!r}") from exc
-
-
-_Key = TypeVar("_Key", SexticType, SurfaceType)
-
-
-def _parse_key(cls: type[_Key], key: str) -> _Key:
-    try:
-        return cls.from_key(key)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"{what} must be comma-separated integers: {text!r}") from exc
 
 
 def _fmt_set(s: frozenset[int]) -> str:
@@ -154,7 +143,7 @@ def cmd_tables(which: str) -> tuple[Sequence[Report], int]:
 
 
 def cmd_classify(type_key: str) -> tuple[Sequence[Report], int]:
-    sextic = _parse_key(SexticType, type_key)
+    sextic = SexticType.from_key(type_key)
     order = {t: i for i, t in enumerate(TritangentType)}
     listing = sorted(
         enumerate_tritangents(sextic),
@@ -182,16 +171,18 @@ def cmd_classify(type_key: str) -> tuple[Sequence[Report], int]:
 def gram_fault() -> Iterator[None]:
     """Corrupt the rank-8 lattice while the body runs: its O1-B12 edge is gone.
 
-    The censuses must then fail.  The faulted lattice takes the clean one's
-    place in the lattice table until the body ends; every cache downstream
+    The censuses must then fail.  The body's context sees a copy of the
+    lattice table holding the faulted lattice; the shared table is never
+    written, so other threads keep the clean one.  Every cache downstream
     is keyed on the lattice value, whose edges differ, and needs no clearing.
     """
-    clean = lattices._LATTICES["4|0"]
-    lattices._LATTICES["4|0"] = dataclasses.replace(clean, edges=clean.edges[1:])
+    table = lattices._LATTICES.get()
+    faulted = dataclasses.replace(table["4|0"], edges=table["4|0"].edges[1:])
+    token = lattices._LATTICES.set({**table, "4|0": faulted})
     try:
         yield
     finally:
-        lattices._LATTICES["4|0"] = clean
+        lattices._LATTICES.reset(token)
 
 
 def cmd_verify(seed: int, fault: str | None) -> tuple[Sequence[Report], int]:
@@ -224,11 +215,11 @@ def cmd_verify(seed: int, fault: str | None) -> tuple[Sequence[Report], int]:
 def cmd_act(
     surface_key: str, vector_text: str, class_text: str, mod2: bool
 ) -> tuple[Sequence[Report], int]:
-    surface = _parse_key(SurfaceType, surface_key)
+    surface = SurfaceType.from_key(surface_key)
     lattice = build_lattice(surface.sextic())
     vector = _parse_ints(vector_text, "the translation vector")
     if len(vector) != lattice.rank:
-        raise UsageError(
+        raise ValueError(
             f"translation vector has {len(vector)} coordinates, "
             f"but the {surface.key} lattice has rank {lattice.rank}"
         )
@@ -242,37 +233,23 @@ def cmd_act(
 
     if mod2:
         if len(coords) != lattice.rank + 2:
-            raise UsageError(
+            raise ValueError(
                 f"a mod-2 class on {surface.key} takes {lattice.rank + 2} coordinates "
                 "(fiber bit, one bit per lattice direction, section bit)"
             )
-        try:
-            x = H1Mod2Class(coords[0], Mod2Vector(coords[1:-1], lattice), coords[-1])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        x = H1Mod2Class(coords[0], Mod2Vector(coords[1:-1], lattice), coords[-1])
         y = mw_act_h1_mod2(lattice, vector, x)
         rows.append(("class in", str((x.mu, *x.v_part.bits, x.nu))))
         rows.append(("class out", str((y.mu, *y.v_part.bits, y.nu))))
     else:
-        try:
-            delta = section_delta(g)
-        except UnsupportedTypeError as exc:
-            raise UsageError(str(exc)) from exc
-        matrix = action_matrix(surface, delta)
+        matrix = action_matrix(surface, section_delta(g))
         dim = 2 * surface.handles + 2
         if len(coords) != dim:
-            raise UsageError(
+            raise ValueError(
                 f"a homology class on {surface.key} takes {dim} coordinates "
                 "(fiber bit, one bridge/oval pair per handle, section coefficient)"
             )
-        try:
-            x = H1Class(
-                coords[0],
-                tuple(zip(coords[1:-1:2], coords[2:-1:2])),
-                coords[-1],
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        x = H1Class(coords[0], tuple(zip(coords[1:-1:2], coords[2:-1:2])), coords[-1])
         y = matrix.apply(x)
         for i, matrix_row in enumerate(matrix.entries):
             rows.append((f"matrix[{i}]", str(tuple(matrix_row))))
@@ -378,7 +355,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         return code
-    except (UsageError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

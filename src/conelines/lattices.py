@@ -16,10 +16,13 @@ this module is hashable and safe to share between threads.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt, lcm
 from operator import mul
+from types import MappingProxyType
 
 Vec = tuple[int, ...]
 
@@ -274,23 +277,27 @@ _GRAPHS: dict[str, tuple[tuple[str, ...], tuple[tuple[int, int], ...], tuple[int
 }
 
 
-#: One lattice per type key, built once from ``_GRAPHS``.
-_LATTICES: dict[str, GeometricLattice] = {
-    key: GeometricLattice(
-        name=name,
-        sextic=SexticType.from_key(key),
-        basis_names=names,
-        edges=edges,
-        oval_indices=ovals,
-        bridge_indices=tuple(i for i in range(len(names)) if i not in ovals),
-    )
-    for key, (names, edges, ovals, name) in _GRAPHS.items()
-}
+#: One lattice per type key, built once from ``_GRAPHS``.  The default
+#: table is read-only; a context that needs other lattices sets its own.
+_LATTICES: ContextVar[Mapping[str, GeometricLattice]] = ContextVar(
+    "_LATTICES",
+    default=MappingProxyType({
+        key: GeometricLattice(
+            name=name,
+            sextic=SexticType.from_key(key),
+            basis_names=names,
+            edges=edges,
+            oval_indices=ovals,
+            bridge_indices=tuple(i for i in range(len(names)) if i not in ovals),
+        )
+        for key, (names, edges, ovals, name) in _GRAPHS.items()
+    }),
+)
 
 
 def build_lattice(sextic: SexticType) -> GeometricLattice:
     """The geometric root lattice of a sextic type, in its normative basis."""
-    return _LATTICES[sextic.key]
+    return _LATTICES.get()[sextic.key]
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,22 @@ def mods_element(
     """Build an element from raw exponents (empty tuples stand for zeros).
 
     The exponents go to linear coordinates and back, which reduces the
-    half twists to bits.
+    half twists to bits.  A slot the surface does not have must be empty
+    or zero.
     """
+    if surface.double_klein:
+        present = ("swap", "shift")
+    elif surface.handles:
+        present = ("half twists", "fiber twists", "split twists")
+    else:
+        present = ("fiber twists",)
+    raw = zip(
+        ("half twists", "fiber twists", "split twists", "swap", "shift"),
+        (half_twists, fiber_twists, split_twists, swap, shift),
+    )
+    absent = [slot for slot, value in raw if value and slot not in present]
+    if absent:
+        raise ValueError(f"raw exponents in slots {surface} does not have: {', '.join(absent)}")
     coords = _coordinates(surface, half_twists, fiber_twists, split_twists, swap, shift)
     return from_linear_coordinates(surface, coords)
 

@@ -68,24 +68,15 @@ def tritangent_table() -> Report:
 
 def strata_table() -> Report:
     """Sizes of the mod-2 strata of each root lattice."""
-    profiles = {
-        key: (
-            build_lattice(SexticType.from_key(key)),
-            strata_profile(build_lattice(SexticType.from_key(key))),
-        )
-        for key in STRATA_COLUMN_ORDER
-    }
-    field_rows: tuple[tuple[str, object], ...] = (
-        ("lattice", lambda lat, prof: lat.name),
-        ("|V|", lambda lat, prof: prof.size_v),
-        ("|R|", lambda lat, prof: prof.size_r),
-        ("|V1|", lambda lat, prof: prof.size_v1),
-        ("|R1|", lambda lat, prof: prof.size_r1),
-        ("|V1 - R1|", lambda lat, prof: prof.size_v1_minus_r1),
-    )
-    rows = tuple(
-        (label,) + tuple(get(*profiles[key]) for key in STRATA_COLUMN_ORDER)
-        for label, get in field_rows
+    lattices = [build_lattice(SexticType.from_key(key)) for key in STRATA_COLUMN_ORDER]
+    profiles = [strata_profile(lattice) for lattice in lattices]
+    rows = (
+        ("lattice", *(lattice.name for lattice in lattices)),
+        ("|V|", *(prof.size_v for prof in profiles)),
+        ("|R|", *(prof.size_r for prof in profiles)),
+        ("|V1|", *(prof.size_v1 for prof in profiles)),
+        ("|R1|", *(prof.size_r1 for prof in profiles)),
+        ("|V1 - R1|", *(prof.size_v1_minus_r1 for prof in profiles)),
     )
     return Report(
         title="mod-2 strata sizes by sextic type",

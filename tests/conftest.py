@@ -30,6 +30,13 @@ def lattice_for(key: str):
     return build_lattice(SexticType.from_key(key))
 
 
+def assert_rejected(call, error: type[Exception], message: str) -> None:
+    """``call()`` raises exactly ``error`` (not a subclass) with exactly ``message``."""
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error and str(raised.value) == message
+
+
 def src_env() -> dict[str, str]:
     """The environment with this checkout's package first on PYTHONPATH, for subprocesses."""
     src = str(Path(conelines.__file__).resolve().parent.parent)

@@ -3,8 +3,10 @@
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -110,6 +112,19 @@ def test_gram_fault_restores_a_clean_e8_when_its_body_raises():
     after = build_lattice(SexticType(4, 0))
     assert len(after.edges) == 7
     assert after == before
+
+
+def test_gram_fault_is_invisible_to_other_threads():
+    # The fault lives in the faulting context only: a second thread that
+    # looks up E8 inside the fault window still gets the clean lattice.
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(build_lattice(SexticType(4, 0))))
+    with cli.gram_fault():
+        worker.start()
+        worker.join(timeout=60)
+        assert len(build_lattice(SexticType(4, 0)).edges) == 6
+    assert not worker.is_alive()
+    assert [len(e8.edges) for e8 in seen] == [7]
 
 
 def test_act_identity_fixes_classes(capsys):
@@ -299,9 +314,17 @@ def command_lines(draw):
 @given(command_lines())
 @settings(max_examples=200, deadline=None)
 def test_any_command_line_exits_with_0_1_or_2(argv):
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        assert err.getvalue() == "", argv
+    if code == 2:
+        # a failure prints no report: argparse's usage message or one error line
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("usage:") or re.fullmatch(r"error: [^\n]+\n", err.getvalue()), argv

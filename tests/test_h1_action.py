@@ -29,9 +29,69 @@ from conelines.mapping_class import (
     translation_analysis,
     translation_class,
 )
-from conftest import HANDLE_KEYS, lattice_for
+from conftest import HANDLE_KEYS, assert_rejected, lattice_for
 
 HANDLE_SURFACES = tuple(SexticType.from_key(k).surface() for k in HANDLE_KEYS)
+
+ONE, TWO, FOUR = (SurfaceType.from_key(k) for k in ("K#T2", "K#2T2", "K#4T2"))
+
+#: (call, exception type, message) for inputs the public functions refuse.
+REJECTIONS = [
+    pytest.param(
+        lambda: H1Delta(2, ((0, 0),)),
+        ValueError,
+        "the fiber coefficient is 2-torsion: expected a bit",
+        id="delta-fiber-not-a-bit",
+    ),
+    pytest.param(
+        lambda: H1Delta(0, ((0, 2),)),
+        ValueError,
+        "oval-direction coefficients of a section difference are bits",
+        id="delta-oval-not-a-bit",
+    ),
+    pytest.param(
+        lambda: action_matrix(ONE, zero_delta(ONE)).apply(H1Class(0, ((0, 0),) * 2, 1)),
+        ValueError,
+        "class has the wrong number of handles for this surface",
+        id="apply-handle-count",
+    ),
+    pytest.param(
+        lambda: action_matrix(TWO, zero_delta(ONE)),
+        ValueError,
+        "difference has the wrong number of handles for this surface",
+        id="action-matrix-handle-count",
+    ),
+    pytest.param(
+        lambda: mw_sum(TWO, zero_delta(TWO), zero_delta(ONE)),
+        ValueError,
+        "difference has the wrong number of handles for this surface",
+        id="mw-sum-handle-count",
+    ),
+    pytest.param(
+        lambda: action_mul(action_matrix(ONE, zero_delta(ONE)), action_matrix(TWO, zero_delta(TWO))),
+        ValueError,
+        "matrices act on different surfaces",
+        id="action-mul-across-surfaces",
+    ),
+    pytest.param(
+        lambda: obstruction_kappa(FOUR, (0,) * 3, (0,) * 4),
+        ValueError,
+        "coefficient tuples must have one entry per handle",
+        id="kappa-length",
+    ),
+    pytest.param(
+        lambda: obstruction_kappa(FOUR, (0,) * 4, (2, 0, 0, 0)),
+        ValueError,
+        "oval-direction coefficients must be bits",
+        id="kappa-not-a-bit",
+    ),
+    pytest.param(
+        lambda: vanishing_orbit(TWO, 3, 1),
+        ValueError,
+        "handle index 3 out of range for K#2T2",
+        id="vanishing-orbit-handle-index",
+    ),
+]
 
 
 @st.composite
@@ -105,6 +165,11 @@ def test_identity_section_class():
         zero = tuple(0 for _ in range(lattice.rank))
         g = translation_class(lattice, zero)
         assert class_of_section(g) == H1Class(0, ((0, 0),) * surface.handles, 1)
+
+
+@pytest.mark.parametrize("call,error,message", REJECTIONS)
+def test_bad_inputs_are_rejected(call, error, message):
+    assert_rejected(call, error, message)
 
 
 def test_class_of_section_rejects_the_double_klein():

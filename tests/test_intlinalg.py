@@ -18,7 +18,7 @@ from conelines.intlinalg import (
     solve_left,
 )
 from conelines.mapping_class import _image_matrix
-from conftest import TYPE_KEYS, lattice_for
+from conftest import TYPE_KEYS, assert_rejected, lattice_for
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -29,6 +29,26 @@ small_matrix = st.integers(1, 4).flatmap(
         )
     )
 )
+
+
+#: (call, exception type, message) for inputs the public functions refuse.
+REJECTIONS = [
+    pytest.param(lambda: mat_mul([[1, 2]], [[1, 2]]), ValueError, "inner dimensions differ", id="mat-mul"),
+    pytest.param(
+        lambda: solve_left([[1, 2]], (1,)), ValueError, "right-hand side has wrong length", id="solve-left"
+    ),
+    pytest.param(
+        lambda: quotient_invariants(2, [[1, 2, 3]]),
+        ValueError,
+        "row length differs from ambient rank",
+        id="quotient-invariants",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,error,message", REJECTIONS)
+def test_bad_inputs_are_rejected(call, error, message):
+    assert_rejected(call, error, message)
 
 
 def _det_is_unit(rows):

@@ -227,6 +227,8 @@ def test_shell_counts_match_the_theta_series(key):
     per_norm = Counter(-norm(lattice, v) // 2 for v in shell)
     assert [per_norm[k] for k in range(6)] == THETA_COUNTS[key]
     assert len(shell) == sum(THETA_COUNTS[key])
+    # the form is negative definite: a positive floor leaves no vector
+    assert vectors_with_norm_at_least(lattice, 1) == ()
 
 
 def test_type_keys_round_trip():

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from conelines.homology_action import split_twist_preimage
 from conelines.intlinalg import quotient_invariants
-from conelines.lattices import SexticType, SurfaceType, build_lattice, smul, unit_vec, vadd
+from conelines.lattices import (
+    SexticType,
+    SurfaceType,
+    UnsupportedTypeError,
+    build_lattice,
+    smul,
+    unit_vec,
+    vadd,
+)
 from conelines.mapping_class import (
     ModSElement,
     _coordinate_relators,
@@ -33,9 +41,77 @@ from conelines.mapping_class import (
     translation_class,
 )
 from conelines.verify import _KERNEL_GENERATORS
-from conftest import HANDLE_KEYS, TYPE_KEYS, lattice_for
+from conftest import HANDLE_KEYS, TYPE_KEYS, assert_rejected, lattice_for
 
 SURFACES = tuple(SexticType.from_key(k).surface() for k in TYPE_KEYS)
+
+K, K_S2, K_K, ONE, TWO = (SurfaceType.from_key(k) for k in ("K", "K+S2", "K+K", "K#T2", "K#2T2"))
+
+#: (call, exception type, message) for inputs the public functions refuse.
+REJECTIONS = [
+    pytest.param(
+        lambda: mods_mul(mods_identity(ONE), mods_identity(TWO)),
+        ValueError,
+        "elements live on different surfaces",
+        id="mods-mul-across-surfaces",
+    ),
+    pytest.param(
+        lambda: split_twist(TWO, 3), ValueError, "handle index 3 out of range for K#2T2", id="handle-index"
+    ),
+    pytest.param(
+        lambda: fiber_twist(K_K),
+        UnsupportedTypeError,
+        "the double Klein bottle has no fiber-twist generator",
+        id="fiber-twist-on-K+K",
+    ),
+    pytest.param(
+        lambda: fiber_twist(K, 2),
+        ValueError,
+        "handle-free surfaces carry a single twist generator",
+        id="fiber-twist-2-on-K",
+    ),
+    pytest.param(
+        lambda: split_twist(K_S2, 1),
+        UnsupportedTypeError,
+        "K+S2 has no split-twist generators",
+        id="split-twist-without-handles",
+    ),
+    pytest.param(
+        lambda: handle_half_twist(K, 1),
+        UnsupportedTypeError,
+        "K has no half-twist generators",
+        id="half-twist-without-handles",
+    ),
+    pytest.param(
+        lambda: swap_components(ONE),
+        UnsupportedTypeError,
+        "component swap exists only on the double Klein bottle",
+        id="swap-off-K+K",
+    ),
+    pytest.param(
+        lambda: shift_components(K),
+        UnsupportedTypeError,
+        "component shift exists only on the double Klein bottle",
+        id="shift-off-K+K",
+    ),
+    pytest.param(
+        lambda: mods_delta(K_K),
+        UnsupportedTypeError,
+        "the double Klein bottle has no distinguished involution",
+        id="delta-on-K+K",
+    ),
+    pytest.param(
+        lambda: translation_class(lattice_for("4|0"), (0,) * 7),
+        ValueError,
+        "vector length differs from lattice rank",
+        id="translation-class-length",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,error,message", REJECTIONS)
+def test_bad_inputs_are_rejected(call, error, message):
+    assert_rejected(call, error, message)
 
 
 def random_element(draw, surface):
@@ -320,10 +396,22 @@ def test_fiber_twist_is_an_involution_without_handles():
 
 _TWIST_SLOTS = ("half_twists", "fiber_twists", "split_twists")
 
+_MALFORMED_KEYS = ("K#4T2", "K#T2+S2", "K", "K+4S2", "K+K")
+
+
+def _absent_slots(surface):
+    """The exponent slots a surface does not have, each with a nonzero value."""
+    if surface.double_klein:
+        return {slot: (1,) for slot in _TWIST_SLOTS}
+    absent = {"swap": 1, "shift": 1}
+    if not surface.handles:
+        absent.update(half_twists=(1,), split_twists=(3,))
+    return absent
+
 
 def _malformed_cases():
     """One bad value per field on five surfaces, each otherwise the identity."""
-    for key in ("K#4T2", "K#T2+S2", "K", "K+4S2", "K+K"):
+    for key in _MALFORMED_KEYS:
         surface = SurfaceType.from_key(key)
         one = mods_identity(surface)
         p = surface.handles
@@ -339,6 +427,9 @@ def _malformed_cases():
         cases["shift-2"] = ("shift", 2)
         for slot in _TWIST_SLOTS:
             cases[f"{slot}-list"] = (slot, list(getattr(one, slot)))
+        for slot, bad in _absent_slots(surface).items():
+            if (slot, bad) not in cases.values():
+                cases[f"{slot}-absent"] = (slot, bad)
         for name, (slot, bad) in cases.items():
             yield pytest.param(surface, slot, bad, id=f"{key}-{name}")
 
@@ -352,8 +443,22 @@ def test_malformed_elements_are_rejected(surface, slot, bad):
 
 def test_wrong_length_exponents_are_rejected_by_the_builder():
     surface = SexticType.from_key("2|0").surface()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exponent tuples must have one entry per handle"):
         mods_element(surface, (0,), (0, 0), (0, 0))
+    # raw exponents in a slot the surface does not have are refused, not dropped
+    for key in _MALFORMED_KEYS:
+        surface = SurfaceType.from_key(key)
+        for slot, bad in _absent_slots(surface).items():
+            message = f"raw exponents in slots {key} does not have: {slot.replace('_', ' ')}"
+            assert_rejected(lambda: mods_element(surface, **{slot: bad}), ValueError, message)
+    assert_rejected(
+        lambda: mods_element(K, half_twists=(1,), split_twists=(3,), swap=1),
+        ValueError,
+        "raw exponents in slots K does not have: half twists, split twists, swap",
+    )
+    # empty or zero is no exponent at all
+    assert mods_element(K_K, fiber_twists=()) == mods_identity(K_K)
+    assert mods_element(ONE, swap=0, shift=0) == mods_identity(ONE)
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=str)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conelines.cli import gram_fault
 from conelines.intlinalg import smith_normal_form
-from conelines.lattices import enumerate_roots, norm, vectors_with_norm_at_least
+from conelines.lattices import enumerate_roots, norm, unit_vec, vectors_with_norm_at_least
 from conelines.mod2 import (
     Mod2Vector,
     NoRootLiftError,
@@ -18,13 +18,42 @@ from conelines.mod2 import (
     lift_to_root,
     mod2_pair,
     q0,
+    q_on_R,
     radical_elements,
     reduce_mod2,
     strata_profile,
     zero_residue,
 )
 from conelines.translations import _least_in_coset, coset_representative, shell_classes
-from conftest import TYPE_KEYS, lattice_for
+from conftest import TYPE_KEYS, assert_rejected, lattice_for
+
+#: (call, exception type, message) for inputs the public functions refuse.
+REJECTIONS = [
+    pytest.param(
+        lambda: zero_residue(lattice_for("4|0")) + zero_residue(lattice_for("3|0")),
+        ValueError,
+        "cannot add residues of different lattices",
+        id="add-across-lattices",
+    ),
+    pytest.param(
+        # E8 is unimodular: its radical is zero
+        lambda: q_on_R(Mod2Vector(unit_vec(8, 0), lattice_for("4|0"))),
+        ValueError,
+        "the Z/4 form is defined on the radical only",
+        id="q-on-R-off-the-radical",
+    ),
+    pytest.param(
+        lambda: lift_to_root(lattice_for("4|0"), zero_residue(lattice_for("3|0"))),
+        ValueError,
+        "residue belongs to a different lattice",
+        id="lift-across-lattices",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,error,message", REJECTIONS)
+def test_bad_inputs_are_rejected(call, error, message):
+    assert_rejected(call, error, message)
 
 
 @st.composite

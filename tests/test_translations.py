@@ -30,9 +30,30 @@ from conelines.translations import (
     mw_act_h2,
     realizable_mod2,
 )
-from conftest import TYPE_KEYS, lattice_for, src_env
+from conftest import TYPE_KEYS, assert_rejected, lattice_for, src_env
 
 ACT_KEYS = ("4|0", "3|0", "2|0", "1|1", "0|2")
+
+#: (call, exception type, message) for inputs the public functions refuse.
+REJECTIONS = [
+    pytest.param(
+        lambda: H1Mod2Class(2, zero_residue(lattice_for("4|0")), 1),
+        ValueError,
+        "mu and nu must be bits",
+        id="mu-not-a-bit",
+    ),
+    pytest.param(
+        lambda: H1Mod2Class(0, zero_residue(lattice_for("4|0")), 2),
+        ValueError,
+        "mu and nu must be bits",
+        id="nu-not-a-bit",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,error,message", REJECTIONS)
+def test_bad_inputs_are_rejected(call, error, message):
+    assert_rejected(call, error, message)
 
 
 @st.composite

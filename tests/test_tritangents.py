@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from conelines.lattices import is_root
-from conelines.mod2 import all_residues, radical_elements, reduce_mod2
+from conelines.lattices import SexticType, UnsupportedTypeError, is_root, unit_vec
+from conelines.mod2 import Mod2Vector, all_residues, radical_elements, reduce_mod2, zero_residue
 from conelines.tritangents import (
     TritangentType,
     boundary_delta,
@@ -15,8 +15,7 @@ from conelines.tritangents import (
     real_tritangent_total,
     type_census,
 )
-from conelines.lattices import SexticType
-from conftest import TYPE_KEYS, lattice_for
+from conftest import TYPE_KEYS, assert_rejected, lattice_for
 
 TANGENCY_COUNT = {
     TritangentType.T0: 0,
@@ -25,6 +24,40 @@ TANGENCY_COUNT = {
     TritangentType.T2: 2,
     TritangentType.T3: 3,
 }
+
+#: (call, exception type, message) for inputs the public functions refuse.
+REJECTIONS = [
+    pytest.param(
+        lambda: oval_bridge_split(lattice_for("0|2"), zero_residue(lattice_for("0|2"))),
+        UnsupportedTypeError,
+        "type 0|2 has no oval/bridge splitting (no ovals in the basis)",
+        id="split-without-ovals",
+    ),
+    pytest.param(
+        lambda: oval_bridge_split(lattice_for("|||"), zero_residue(lattice_for("|||"))),
+        UnsupportedTypeError,
+        "type ||| has no oval/bridge splitting (no ovals in the basis)",
+        id="split-on-bands",
+    ),
+    pytest.param(
+        lambda: oval_bridge_split(lattice_for("4|0"), zero_residue(lattice_for("3|0"))),
+        ValueError,
+        "residue belongs to a different lattice",
+        id="split-across-lattices",
+    ),
+    pytest.param(
+        # position 0 of E8 holds the oval O1
+        lambda: boundary_delta(lattice_for("4|0"), Mod2Vector(unit_vec(8, 0), lattice_for("4|0"))),
+        ValueError,
+        "input must be supported on bridge positions",
+        id="boundary-of-an-oval",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,error,message", REJECTIONS)
+def test_bad_inputs_are_rejected(call, error, message):
+    assert_rejected(call, error, message)
 
 
 @pytest.mark.parametrize("key", TYPE_KEYS)
