@@ -8,6 +8,8 @@ is not tracked, and each run overwrites the last record of its workload
 and seed, so copy the records aside between runs.  Give the parent's
 records and the change's; each metric of each workload is reported as
 the median over that workload's runs, with the sorted values of the runs.
+A ``--workload all`` run labels each of its records "all", so such
+records are refused: record one ``--workload <name>`` run per workload.
 
     python scripts/bench_record.py --parent p1/*.json p2/*.json \\
         --change c1/*.json c2/*.json --out BENCH_11.json
@@ -46,6 +48,8 @@ def condense(paths: list[Path]) -> dict:
     for path, record in zip(paths, records):
         if record.get("trace") != 0:
             raise ValueError(f"{path}: not an end-to-end record (--trace 0)")
+        if record["workload"] == "all":
+            raise ValueError(f"{path}: a --workload all record; record one --workload <name> run per workload")
         runs.setdefault(record["workload"], []).append(record["metrics"])
     side["workloads"] = {
         workload: {name: _summary([m[name][0] for m in metrics], unit) for name, (_, unit) in metrics[0].items()}

@@ -33,14 +33,7 @@ from .homology_action import H1Class, action_matrix, class_coords, section_delta
 from .lattices import SexticType, SurfaceType, build_lattice
 from .mapping_class import ModSElement, translation_class
 from .mod2 import Mod2Vector
-from .tables import (
-    Report,
-    all_tables,
-    line_class_table,
-    mw_table,
-    strata_table,
-    tritangent_table,
-)
+from .tables import TABLES, Report, all_tables
 from .translations import H1Mod2Class, mw_act_h1_mod2
 from .tritangents import TritangentType, enumerate_tritangents
 
@@ -129,17 +122,8 @@ def _fmt_mods(g: ModSElement) -> str:
 # subcommands
 
 
-_TABLE_BUILDERS = {
-    "tritangents": lambda: (tritangent_table(),),
-    "lattices": lambda: (strata_table(),),
-    "mw": lambda: (mw_table(),),
-    "line-classes": lambda: (line_class_table(),),
-    "all": all_tables,
-}
-
-
 def cmd_tables(which: str) -> tuple[Sequence[Report], int]:
-    return _TABLE_BUILDERS[which](), 0
+    return (all_tables() if which == "all" else (TABLES[which](),)), 0
 
 
 def cmd_classify(type_key: str) -> tuple[Sequence[Report], int]:
@@ -281,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tables = sub.add_parser("tables", parents=[common], help="render census tables")
-    p_tables.add_argument("which", choices=tuple(_TABLE_BUILDERS))
+    p_tables.add_argument("which", choices=(*TABLES, "all"))
 
     p_classify = sub.add_parser(
         "classify", parents=[common], help="list the positive tritangents of one type"

@@ -414,7 +414,6 @@ def vectors_with_norm_at_least(lattice: GeometricLattice, floor: int) -> tuple[V
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
 def enumerate_roots(lattice: GeometricLattice) -> tuple[Vec, ...]:
     """All norm -2 vectors, sorted lexicographically.
 

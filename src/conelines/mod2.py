@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import xor
 
 from .lattices import (
@@ -42,6 +42,14 @@ class Mod2Vector:
             raise ValueError("bit length does not match the lattice rank")
         if not _BITS.issuperset(self.bits):
             raise ValueError("bits must be 0 or 1")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """Hashed once, as a lattice is, from integer fields only (the lattice's hash reads its own)."""
+        return hash((self.bits, self.lattice))
 
     def __add__(self, other: "Mod2Vector") -> "Mod2Vector":
         if other.lattice != self.lattice:
@@ -128,7 +136,6 @@ def all_residues(lattice: GeometricLattice) -> tuple[Mod2Vector, ...]:
     return tuple(_residues(lattice).values())
 
 
-@lru_cache(maxsize=None)
 def strata_profile(lattice: GeometricLattice) -> Mod2Profile:
     """Exhaustively count the quadratic strata (the space has at most 256 points).
 
@@ -164,15 +171,6 @@ class NoRootLiftError(ValueError):
         self.reason = reason
 
 
-@lru_cache(maxsize=None)
-def _lift_table(lattice: GeometricLattice) -> dict[Bits, tuple[Vec, Vec]]:
-    table: dict[Bits, tuple[Vec, Vec]] = {}
-    for e in enumerate_roots(lattice):
-        bits = tuple(x & 1 for x in e)
-        table[bits] = canonical_root_pair(e)
-    return table
-
-
 def lift_to_root(lattice: GeometricLattice, x: Mod2Vector) -> tuple[Vec, Vec]:
     """The unique +/- pair of roots reducing to an odd non-radical class.
 
@@ -180,9 +178,9 @@ def lift_to_root(lattice: GeometricLattice, x: Mod2Vector) -> tuple[Vec, Vec]:
     """
     if x.lattice != lattice:
         raise ValueError("residue belongs to a different lattice")
-    found = _lift_table(lattice).get(x.bits)
-    if found is not None:
-        return found
+    for e in enumerate_roots(lattice):
+        if reduce_mod2(lattice, e) == x:
+            return canonical_root_pair(e)
     if q0(x) == 0:
         raise NoRootLiftError(
             "no root lift: the class is even (roots always have odd value)",

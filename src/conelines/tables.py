@@ -9,6 +9,7 @@ regression in the computational core cannot hide behind its own output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .homology_action import count_line_classes
 from .lattices import ALL_SEXTIC_TYPES, SexticType, build_lattice
@@ -145,5 +146,14 @@ def line_class_table() -> Report:
     )
 
 
+#: Every table by name, in report order.
+TABLES = MappingProxyType({
+    "tritangents": tritangent_table,
+    "lattices": strata_table,
+    "mw": mw_table,
+    "line-classes": line_class_table,
+})
+
+
 def all_tables() -> tuple[Report, ...]:
-    return (tritangent_table(), strata_table(), mw_table(), line_class_table())
+    return tuple(build() for build in TABLES.values())

@@ -43,16 +43,14 @@ def mw_act_h2(lattice: GeometricLattice, w: Vec, x: H2ClassX) -> H2ClassX:
     )
 
 
-def coset_representative(x: Mod2Vector) -> Mod2Vector:
-    """Lexicographically least representative of x modulo the radical."""
-    return _least_in_coset(x.lattice, x.bits)
-
-
 @lru_cache(maxsize=None)
-def _least_in_coset(lattice: GeometricLattice, bits: Bits) -> Mod2Vector:
-    """The minimum over the radical, computed once per residue (at most 2^8)."""
-    x = Mod2Vector(bits, lattice)
-    return min((x + r for r in radical_elements(lattice)), key=lambda y: y.bits)
+def coset_representative(x: Mod2Vector) -> Mod2Vector:
+    """Lexicographically least representative of x modulo the radical.
+
+    Computed once per residue (at most 2^8 per lattice), and always the
+    interned residue, since the sum of two residues is.
+    """
+    return min((x + r for r in radical_elements(x.lattice)), key=lambda y: y.bits)
 
 
 def shell_classes(lattice: GeometricLattice, floor: int) -> Counter[tuple[int, Bits]]:
@@ -107,7 +105,10 @@ def realizable_mod2(surface: SurfaceType, x: H1Mod2Class) -> bool:
         )
     if x.nu != 1:
         raise ValueError("only section-type classes (nu = 1) can be realized by lines")
-    if all(q0(r) == 0 for r in radical_elements(build_lattice(surface.sextic()))):
+    lattice = build_lattice(surface.sextic())
+    if x.v_part.lattice != lattice:
+        raise ValueError(f"the class's residue is not on the lattice of {surface}")
+    if all(q0(r) == 0 for r in radical_elements(lattice)):
         return x.mu == q0(x.v_part)
     return True
 

@@ -25,6 +25,7 @@ from .lattices import (
     Vec,
     build_lattice,
     canonical_root_pair,
+    is_root,
     root_pairs,
 )
 from .mod2 import Mod2Vector, reduce_mod2
@@ -122,6 +123,8 @@ def boundary_delta(lattice: GeometricLattice, v_bridge: Mod2Vector) -> Mod2Vecto
     off the edge list; the kernel of this map is exactly the radical of the
     mod-2 form.
     """
+    if v_bridge.lattice != lattice:
+        raise ValueError("residue belongs to a different lattice")
     if any(v_bridge.bits[i] for i in lattice.oval_indices):
         raise ValueError("input must be supported on bridge positions")
     bits = [0] * lattice.rank
@@ -147,6 +150,8 @@ def _band_label(e: Vec) -> str:
 
 def classify_root(lattice: GeometricLattice, e: Vec) -> Tritangent:
     """Compute the invariants of the positive tritangent attached to a root."""
+    if not is_root(lattice, e):
+        raise ValueError(f"not a root of the {lattice.sextic} lattice: {e}")
     sx = lattice.sextic
     pair_ = canonical_root_pair(e)
     if sx.bands or sx.pos_ovals == 0:

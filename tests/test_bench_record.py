@@ -67,6 +67,7 @@ def test_parent_and_change_records_condense_to_medians(tmp_path, monkeypatch):
     [
         (_record("aaa", "other", "verify", 1.0, 1.0), "records disagree on source_sha256"),
         (_record("aaa", "s1", "verify", 1.0, 1.0, trace=1), "not an end-to-end record"),
+        (_record("aaa", "s1", "all", 1.0, 1.0), "record one --workload <name> run per workload"),
     ],
 )
 def test_records_of_mixed_sources_or_traced_runs_are_refused(tmp_path, capsys, second, message):

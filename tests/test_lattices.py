@@ -287,22 +287,28 @@ def test_section_classes_self_pair_to_minus_one(e8):
 _PICKLE_ALL = """
 import pickle, sys
 from conelines.lattices import ALL_SEXTIC_TYPES, build_lattice
+from conelines.mod2 import all_residues
 lattices = [build_lattice(t) for t in ALL_SEXTIC_TYPES]
-for lattice in lattices:
-    hash(lattice)
-    assert "_hash" in vars(lattice)  # the cached hash is part of the pickled state
-sys.stdout.buffer.write(pickle.dumps(lattices))
+residues = [all_residues(lattice) for lattice in lattices]
+for value in [*lattices, *(x for quotient in residues for x in quotient)]:
+    hash(value)
+    assert "_hash" in vars(value)  # the cached hash is part of the pickled state
+sys.stdout.buffer.write(pickle.dumps((lattices, residues)))
 """
 
 _LOAD_ALL = """
 import pickle, sys
 from conelines.lattices import ALL_SEXTIC_TYPES, build_lattice
-loaded = pickle.loads(sys.stdin.buffer.read())
+from conelines.mod2 import all_residues
+loaded, loaded_residues = pickle.loads(sys.stdin.buffer.read())
 fresh = [build_lattice(t) for t in ALL_SEXTIC_TYPES]
 by_lattice = {lattice: lattice.sextic.key for lattice in fresh}
 for old, new in zip(loaded, fresh, strict=True):
     assert old == new and old is not new and hash(old) == hash(new), new.sextic
     assert by_lattice[old] == new.sextic.key
+for quotient, new in zip(loaded_residues, fresh, strict=True):
+    for old, interned in zip(quotient, all_residues(new), strict=True):
+        assert old == interned and old is not interned and hash(old) == hash(interned), old.bits
 print("ok")
 """
 

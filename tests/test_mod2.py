@@ -24,7 +24,7 @@ from conelines.mod2 import (
     strata_profile,
     zero_residue,
 )
-from conelines.translations import _least_in_coset, coset_representative, shell_classes
+from conelines.translations import coset_representative, shell_classes
 from conftest import TYPE_KEYS, assert_rejected, lattice_for
 
 #: (call, exception type, message) for inputs the public functions refuse.
@@ -188,12 +188,21 @@ def test_the_quotient_is_interned_once_per_lattice(key):
     lattice = lattice_for(key)
     residues = all_residues(lattice)
     assert [x.bits for x in residues] == list(itertools.product((0, 1), repeat=lattice.rank))
+    interned = {x.bits: x for x in residues}
     for x in residues:
         lift = tuple(b - 2 * i for i, b in enumerate(x.bits))
         assert reduce_mod2(lattice, lift) is x
         assert x + zero_residue(lattice) is x
-        assert q0(x) == (norm(lattice, x.bits) // 2) & 1 == q0(Mod2Vector(x.bits, lattice))
-        assert coset_representative(x) == _least_in_coset.__wrapped__(lattice, x.bits)
+        least = min((x + r for r in radical_elements(lattice)), key=lambda y: y.bits)
+        rep = interned[least.bits]
+        # A residue built outside the table is an equal key: the cached
+        # lookup and a computation from it both give the interned
+        # representative, and q0 reads the same entry.
+        fresh = Mod2Vector(x.bits, lattice)
+        assert fresh == x and fresh is not x and hash(fresh) == hash(x)
+        assert coset_representative(x) is coset_representative(fresh) is rep
+        assert coset_representative.__wrapped__(fresh) is rep
+        assert q0(x) == (norm(lattice, x.bits) // 2) & 1 == q0(fresh)
     assert zero_residue(lattice) is residues[0]
 
 
@@ -224,6 +233,14 @@ def test_the_constructor_still_checks_every_residue(key):
     message = "bits must be 0 or 1" if n == 2 else "bit length does not match the lattice rank"
     with pytest.raises(ValueError, match=message):
         Mod2Vector((0, 2), lattice)
+
+
+def test_the_residue_hash_is_cached_and_equality_stays_field_wise(e8):
+    x = reduce_mod2(e8, (1, 1) + (0,) * 6)
+    assert hash(x) == hash((x.bits, e8)) and "_hash" in vars(x)
+    assert Mod2Vector(x.bits, e8) == x and Mod2Vector(x.bits, e8) is not x
+    # D4 and 4A1 have one rank: the same bits on another lattice differ.
+    assert Mod2Vector((0, 1, 0, 0), lattice_for("1|1")) != Mod2Vector((0, 1, 0, 0), lattice_for("0|0"))
 
 
 def test_a_faulted_lattice_gets_its_own_cache_entries(e8):

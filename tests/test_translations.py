@@ -48,6 +48,14 @@ REJECTIONS = [
         "mu and nu must be bits",
         id="nu-not-a-bit",
     ),
+    pytest.param(
+        lambda: realizable_mod2(
+            SexticType.from_key("4|0").surface(), H1Mod2Class(1, zero_residue(lattice_for("2|0")), 1)
+        ),
+        ValueError,
+        "the class's residue is not on the lattice of K#4T2",
+        id="realizable-across-lattices",
+    ),
 ]
 
 

@@ -9,6 +9,7 @@ from conelines.mod2 import Mod2Vector, all_residues, radical_elements, reduce_mo
 from conelines.tritangents import (
     TritangentType,
     boundary_delta,
+    classify_root,
     enumerate_tritangents,
     oval_bridge_split,
     pair_census,
@@ -51,6 +52,37 @@ REJECTIONS = [
         ValueError,
         "input must be supported on bridge positions",
         id="boundary-of-an-oval",
+    ),
+    pytest.param(
+        lambda: boundary_delta(lattice_for("4|0"), zero_residue(lattice_for("1|1"))),
+        ValueError,
+        "residue belongs to a different lattice",
+        id="boundary-across-lattices",
+    ),
+    pytest.param(
+        # the same rank, so only the lattice check can tell
+        lambda: boundary_delta(lattice_for("1|1"), Mod2Vector((0, 1, 0, 0), lattice_for("0|0"))),
+        ValueError,
+        "residue belongs to a different lattice",
+        id="boundary-across-lattices-of-one-rank",
+    ),
+    pytest.param(
+        lambda: classify_root(lattice_for("4|0"), (0,) * 8),
+        ValueError,
+        "not a root of the 4|0 lattice: (0, 0, 0, 0, 0, 0, 0, 0)",
+        id="classify-the-zero-vector",
+    ),
+    pytest.param(
+        lambda: classify_root(lattice_for("0|2"), (1, 2, 3)),
+        ValueError,
+        "not a root of the 0|2 lattice: (1, 2, 3)",
+        id="classify-a-vector-of-the-wrong-length",
+    ),
+    pytest.param(
+        lambda: classify_root(lattice_for("|||"), (5, 0, 0, 0)),
+        ValueError,
+        "not a root of the ||| lattice: (5, 0, 0, 0)",
+        id="classify-a-long-vector-on-bands",
     ),
 ]
 
