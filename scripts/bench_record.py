@@ -7,9 +7,18 @@ and its end-to-end ``metrics`` as name -> [value, unit].  That directory
 is not tracked, and each run overwrites the last record of its workload
 and seed, so copy the records aside between runs.  Give the parent's
 records and the change's; each metric of each workload is reported as
-the median over that workload's runs, with the sorted values of the runs.
-A ``--workload all`` run labels each of its records "all", so such
-records are refused: record one ``--workload <name>`` run per workload.
+the median over that workload's runs, with its quartiles and the sorted
+values of the runs.  A ``--workload all`` run labels each of its records
+"all", so such records are refused: record one ``--workload <name>`` run
+per workload.
+
+The records of the two sides are paired in the order given (the first
+parent record of a workload with its first change record, and so on), so
+give them in the order the runs alternated.  Per workload and metric,
+``comparison`` counts the pairs and the pairs the change won, and gives
+the gap between the medians beside the parent's interquartile range.
+Every end-to-end metric of the benchmark is better lower, so the change
+wins a pair when its value is the lower one.
 
     python scripts/bench_record.py --parent p1/*.json p2/*.json \\
         --change c1/*.json c2/*.json --out BENCH_11.json
@@ -33,8 +42,9 @@ from pathlib import Path
 _SIDE_FIELDS = ("host", "platform", "python", "nproc", "commit", "source_sha256")
 
 
-def condense(paths: list[Path]) -> dict:
-    """One side: its shared meta fields, and per workload the median of each metric."""
+def condense(paths: list[Path]) -> tuple[dict, dict[str, list[dict]]]:
+    """One side: its shared meta fields and per workload the summary of each metric,
+    with the metrics of each workload's runs in the order given."""
     records = [json.loads(path.read_text(encoding="utf-8")) for path in paths]
     if not records:
         raise ValueError("no records given")
@@ -55,18 +65,48 @@ def condense(paths: list[Path]) -> dict:
         workload: {name: _summary([m[name][0] for m in metrics], unit) for name, (_, unit) in metrics[0].items()}
         for workload, metrics in sorted(runs.items())
     }
-    return side
+    return side, runs
 
 
 def _summary(values: list[float], unit: str) -> dict:
-    return {"unit": unit, "median": statistics.median(values), "runs": sorted(values)}
+    return {"unit": unit, "median": statistics.median(values), "quartiles": _quartiles(values), "runs": sorted(values)}
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    """The first and third quartiles, interpolated between the runs."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    first, _, third = statistics.quantiles(values, n=4, method="inclusive")
+    return [first, third]
+
+
+def compare(parent: dict[str, list[dict]], change: dict[str, list[dict]]) -> dict:
+    """Per workload that both sides ran, and per metric: pairs, pairs won, median gap, parent IQR."""
+    out = {}
+    for workload in sorted(parent.keys() & change.keys()):
+        out[workload] = {}
+        for name in parent[workload][0].keys() & change[workload][0].keys():
+            before = [metrics[name][0] for metrics in parent[workload]]
+            after = [metrics[name][0] for metrics in change[workload]]
+            first, third = _quartiles(before)
+            out[workload][name] = {
+                "pairs": min(len(before), len(after)),
+                "change_won": sum(b > a for b, a in zip(before, after)),
+                "median_gap": statistics.median(before) - statistics.median(after),
+                "parent_iqr": third - first,
+            }
+        out[workload] = dict(sorted(out[workload].items()))
+    return out
 
 
 def bench_record(parent: list[Path], change: list[Path]) -> dict:
+    parent_side, parent_runs = condense(parent)
+    change_side, change_runs = condense(change)
     return {
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "parent": condense(parent),
-        "change": condense(change),
+        "parent": parent_side,
+        "change": change_side,
+        "comparison": compare(parent_runs, change_runs),
     }
 
 

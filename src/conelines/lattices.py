@@ -9,20 +9,33 @@ is the -2 shell), and evaluates the middle homology pairing of the real
 rational elliptic surface obtained by blowing up the base point of the
 anticanonical pencil of the degree-one del Pezzo double cover.
 
+The descent completes squares from the last coordinate down, so it fixes
+the first coordinate first and emits each shell in lexicographic order.
+A lattice generates two kernels from its rank and edge list the first
+time they are used: the pairing as one straight-line sum over the edges
+and the diagonal, and the coordinatewise parities as one tuple.  Their
+source holds only names, operators and edge indices checked to be
+integers in range(rank).
+
 All vectors are plain integer tuples in the fixed basis, so every value in
 this module is hashable and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isqrt, lcm
-from operator import mul
 from types import MappingProxyType
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .mod2 import Mod2Vector
 
 Vec = tuple[int, ...]
 
@@ -193,6 +206,10 @@ class GeometricLattice:
     diagonal -2 and off-diagonal +1 exactly on those pairs.
     ``oval_indices``/``bridge_indices`` record which basis positions hold
     oval classes and which hold bridge classes.
+
+    Its Gram matrix, Fincke-Pohst levels, mod-2 quotient and kernels are
+    computed on first use and kept on the instance, so they live and die
+    with it.
     """
 
     name: str
@@ -204,6 +221,10 @@ class GeometricLattice:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __getstate__(self) -> dict:
+        """Fields and tables; the kernels are generated code, which does not pickle."""
+        return {k: v for k, v in vars(self).items() if k not in _KERNELS}
 
     @cached_property
     def _hash(self) -> int:
@@ -223,12 +244,94 @@ class GeometricLattice:
             g[i][j] = g[j][i] = 1
         return tuple(tuple(row) for row in g)
 
+    @cached_property
+    def _pair_kernel(self) -> Callable[[Vec, Vec], int]:
+        """v.w as one straight-line expression: each edge's two products, minus twice the diagonal."""
+        edges = " + ".join(f"v[{i}] * w[{j}] + v[{j}] * w[{i}]" for i, j in self._checked_edges())
+        diagonal = " + ".join(f"v[{i}] * w[{i}]" for i in range(self.rank))
+        return _kernel(f"lambda v, w: {edges or 0} - 2 * ({diagonal or 0})")
+
+    @cached_property
+    def _parity_kernel(self) -> Callable[[Vec], tuple[int, ...]]:
+        """The coordinatewise parities of a vector, as one tuple display."""
+        return _kernel("lambda v: (" + "".join(f"v[{i}] & 1, " for i in range(self.rank)) + ")")
+
+    def _checked_edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as plain integers in range(rank): the only values a kernel's source holds."""
+        n = self.rank
+        checked = []
+        for edge in self.edges:
+            try:
+                i, j = map(operator.index, edge)
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} of {self.name} is not a pair of integers") from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge {edge!r} of {self.name} leaves range({n})")
+            checked.append((i, j))
+        return tuple(checked)
+
+    @cached_property
+    def _residues(self) -> dict[Vec, Mod2Vector]:
+        """The mod-2 quotient (at most 2^8 points) by bits, each residue validated once, here."""
+        from .mod2 import Mod2Vector  # mod2 builds on this module
+
+        return {bits: Mod2Vector(bits, self) for bits in itertools.product((0, 1), repeat=self.rank)}
+
+    @cached_property
+    def _square_completion(self) -> tuple[int, tuple]:
+        """Integer Fincke-Pohst levels of the negated form.
+
+        Completing squares from the last coordinate down writes the
+        positive definite form -v.v as sum_i d_i (x_i + sum_{j<i} r_ij x_j)^2
+        with exact rationals d_i > 0 (every lattice here is negative
+        definite).  With den_i the least common denominator of the r_ij,
+        a_ij = den_i r_ij and one global scale S chosen so that every
+        K_i = S d_i / den_i^2 is an integer, this is
+
+            S * (-v.v) = sum_i K_i u_i^2,   u_i = den_i x_i + sum_{j<i} a_ij x_j,
+
+        with integers throughout.  Returns (S, levels), where levels[i] is
+        (den_i, K_i, ((j, a_ij), ...)) over the nonzero a_ij.  Fractions
+        are used here only, once per lattice.
+        """
+        from fractions import Fraction
+
+        n = self.rank
+        q = [[Fraction(-self.gram[i][j]) for j in range(n)] for i in range(n)]
+        rational = [None] * n
+        for i in reversed(range(n)):
+            d = q[i][i]
+            rational[i] = (d, {j: q[i][j] / d for j in range(i) if q[i][j]})
+            for a in range(i):
+                for b in range(i):
+                    q[a][b] -= q[i][a] * q[i][b] / d
+        dens = [lcm(1, *(r.denominator for r in row.values())) for _, row in rational]
+        scale = lcm(1, *((d / den**2).denominator for (d, _), den in zip(rational, dens)))
+        levels = tuple(
+            (
+                den,
+                int(scale * d / den**2),
+                tuple((j, int(den * r)) for j, r in row.items()),
+            )
+            for (d, row), den in zip(rational, dens)
+        )
+        return scale, levels
+
     def basis_vector(self, i: int) -> Vec:
         return unit_vec(self.rank, i)
 
     def oval_number(self, basis_index: int) -> int:
         """1-based oval number of an oval basis position."""
         return self.oval_indices.index(basis_index) + 1
+
+
+#: The instance attributes that hold generated code, left out of the pickled state.
+_KERNELS = frozenset(("_pair_kernel", "_parity_kernel"))
+
+
+def _kernel(source: str) -> Callable:
+    """Compile a lambda whose source holds only checked integers, names and operators."""
+    return eval(compile(source, "<lattice kernel>", "eval"), {"__builtins__": {}})
 
 
 # (basis names, adjacency edges, oval positions, lattice name) per type key.
@@ -309,15 +412,13 @@ def pair(lattice: GeometricLattice, v: Vec, w: Vec) -> int:
 
     The Gram matrix is -2 on the diagonal and +1 on the Dynkin edges, so
     v.w = -2 sum_i v_i w_i + sum_{(i, j) edge} (v_i w_j + v_j w_i), which
-    costs O(rank) instead of O(rank^2).
+    costs O(rank) instead of O(rank^2); the lattice's pairing kernel spells
+    this sum out term by term.
     """
     n = lattice.rank
     if len(v) != n or len(w) != n:
         raise ValueError(f"coordinate length mismatch: rank {n}, got {len(v)} and {len(w)}")
-    total = -2 * sum(map(mul, v, w))
-    for i, j in lattice.edges:
-        total += v[i] * w[j] + v[j] * w[i]
-    return total
+    return lattice._pair_kernel(v, w)
 
 
 def norm(lattice: GeometricLattice, v: Vec) -> int:
@@ -333,85 +434,44 @@ def reflect(lattice: GeometricLattice, e: Vec, x: Vec) -> Vec:
     return vadd(x, smul(pair(lattice, x, e), e))
 
 
-@lru_cache(maxsize=None)
-def _square_completion(lattice: GeometricLattice) -> tuple[int, tuple]:
-    """Integer Fincke-Pohst levels of the negated form.
-
-    Completing squares writes the positive definite form -v.v as
-    sum_i d_i (x_i + sum_{j>i} r_ij x_j)^2 with exact rationals d_i > 0
-    (every lattice here is negative definite).  With den_i the least
-    common denominator of the r_ij, a_ij = den_i r_ij and one global scale
-    S chosen so that every K_i = S d_i / den_i^2 is an integer, this is
-
-        S * (-v.v) = sum_i K_i u_i^2,   u_i = den_i x_i + sum_{j>i} a_ij x_j,
-
-    with integers throughout.  Returns (S, levels), where levels[i] is
-    (den_i, K_i, ((j, a_ij), ...)) over the nonzero a_ij.  Fractions are
-    used here only, once per lattice.
-    """
-    from fractions import Fraction
-
-    n = lattice.rank
-    q = [[Fraction(-lattice.gram[i][j]) for j in range(n)] for i in range(n)]
-    rational = []
-    for i in range(n):
-        d = q[i][i]
-        rational.append((d, {j: q[i][j] / d for j in range(i + 1, n) if q[i][j]}))
-        for a in range(i + 1, n):
-            for b in range(i + 1, n):
-                q[a][b] -= q[i][a] * q[i][b] / d
-    dens = [lcm(1, *(r.denominator for r in row.values())) for _, row in rational]
-    scale = lcm(1, *((d / den**2).denominator for (d, _), den in zip(rational, dens)))
-    levels = tuple(
-        (
-            den,
-            int(scale * d / den**2),
-            tuple((j, int(den * r)) for j, r in row.items()),
-        )
-        for (d, row), den in zip(rational, dens)
-    )
-    return scale, levels
-
-
 def vectors_with_norm_at_least(lattice: GeometricLattice, floor: int) -> tuple[Vec, ...]:
     """All lattice vectors v with floor <= v.v (<= 0 by definiteness), sorted.
 
     Fincke-Pohst enumeration on integers only (Fincke and Pohst, Math.
-    Comp. 44, 1985; Cohen, Alg. 2.7.5), over the levels of
+    Comp. 44, 1985; Cohen, Alg. 2.7.5), over the levels of the lattice's
     ``_square_completion``.  The budget starts at R = -floor * S and the
-    descent runs from the last coordinate to the first.  At level i the
-    coordinates above fix the centre c = sum a_ij x_j, and K_i u^2 <= R
-    holds exactly when |u| <= t = isqrt(R // K_i), so x_i runs over
+    descent fixes the first coordinate first.  At level i the coordinates
+    before it fix the centre c = sum a_ij x_j, and K_i u^2 <= R holds
+    exactly when |u| <= t = isqrt(R // K_i), so x_i runs upwards over
     ceil((-t - c) / den_i) .. floor((t - c) / den_i) with no further test
-    and R - K_i u^2 is passed down.
+    and R - K_i u^2 is passed down.  The vectors therefore come out in
+    lexicographic order, and need no sort.
     """
     n = lattice.rank
     if floor > 0:
         return ()
     if n == 0:
         return ((),)
-    scale, levels = _square_completion(lattice)
+    scale, levels = lattice._square_completion
+    last = n - 1
     out: list[Vec] = []
-    coords = [0] * n
 
-    def descend(i: int, budget: int) -> None:
+    def descend(i: int, budget: int, prefix: Vec) -> None:
         den, weight, centre = levels[i]
-        c = sum(a * coords[j] for j, a in centre)
+        c = 0
+        for j, a in centre:
+            c += a * prefix[j]
         t = isqrt(budget // weight)
         xs = range(-((t + c) // den), (t - c) // den + 1)
-        if i == 0:
-            for x in xs:
-                coords[0] = x
-                out.append(tuple(coords))
+        if i == last:
+            out.extend([prefix + (x,) for x in xs])
         else:
             for x in xs:
-                coords[i] = x
                 u = den * x + c
-                descend(i - 1, budget - weight * u * u)
-        coords[i] = 0
+                descend(i + 1, budget - weight * u * u, prefix + (x,))
 
-    descend(n - 1, -floor * scale)
-    return tuple(sorted(out))
+    descend(0, -floor * scale, ())
+    return tuple(out)
 
 
 def enumerate_roots(lattice: GeometricLattice) -> tuple[Vec, ...]:

@@ -10,7 +10,6 @@ every such residue lifts to exactly one pair of opposite roots.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import xor
@@ -54,7 +53,7 @@ class Mod2Vector:
     def __add__(self, other: "Mod2Vector") -> "Mod2Vector":
         if other.lattice != self.lattice:
             raise ValueError("cannot add residues of different lattices")
-        return _residues(self.lattice)[tuple(map(xor, self.bits, other.bits))]
+        return self.lattice._residues[tuple(map(xor, self.bits, other.bits))]
 
     def is_zero(self) -> bool:
         return not any(self.bits)
@@ -62,25 +61,24 @@ class Mod2Vector:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.bits) if b)
 
+    @cached_property
+    def _q0(self) -> int:
+        return (norm(self.lattice, self.bits) // 2) & 1
 
-@lru_cache(maxsize=None)
-def _residues(lattice: GeometricLattice) -> dict[Bits, Mod2Vector]:
-    """The whole quotient (at most 2^8 points), each residue validated once, by its bits."""
-    return {
-        bits: Mod2Vector(bits, lattice)
-        for bits in itertools.product((0, 1), repeat=lattice.rank)
-    }
+    @cached_property
+    def _coset_representative(self) -> "Mod2Vector":
+        return min((self + r for r in radical_elements(self.lattice)), key=lambda y: y.bits)
 
 
 def reduce_mod2(lattice: GeometricLattice, v: Vec) -> Mod2Vector:
     """Coordinatewise reduction of an integer vector, as the interned residue."""
-    bits = tuple([x & 1 for x in v])
-    # A miss is a wrong length, which the constructor rejects.
-    return _residues(lattice).get(bits) or Mod2Vector(bits, lattice)
+    if len(v) != lattice.rank:
+        raise ValueError("bit length does not match the lattice rank")
+    return lattice._residues[lattice._parity_kernel(v)]
 
 
 def zero_residue(lattice: GeometricLattice) -> Mod2Vector:
-    return _residues(lattice)[(0,) * lattice.rank]
+    return lattice._residues[(0,) * lattice.rank]
 
 
 def mod2_pair(a: Mod2Vector, b: Mod2Vector) -> int:
@@ -90,14 +88,14 @@ def mod2_pair(a: Mod2Vector, b: Mod2Vector) -> int:
     return pair(a.lattice, a.bits, b.bits) & 1
 
 
-@lru_cache(maxsize=None)
 def q0(x: Mod2Vector) -> int:
     """Quadratic refinement with values in Z/2: half the norm of any lift.
 
     Well-defined because the lattice is even: changing the lift by twice a
-    vector changes half the norm by an even number.  Computed once per residue.
+    vector changes half the norm by an even number.  Computed once per
+    residue, and kept on it.
     """
-    return (norm(x.lattice, x.bits) // 2) & 1
+    return x._q0
 
 
 @lru_cache(maxsize=None)
@@ -108,9 +106,7 @@ def radical_elements(lattice: GeometricLattice) -> tuple[Mod2Vector, ...]:
 
 def in_radical(x: Mod2Vector) -> bool:
     n = x.lattice.rank
-    return all(
-        mod2_pair(x, Mod2Vector(unit_vec(n, i), x.lattice)) == 0 for i in range(n)
-    )
+    return all(mod2_pair(x, x.lattice._residues[unit_vec(n, i)]) == 0 for i in range(n))
 
 
 def q_on_R(x: Mod2Vector) -> int:
@@ -133,7 +129,7 @@ class Mod2Profile:
 
 
 def all_residues(lattice: GeometricLattice) -> tuple[Mod2Vector, ...]:
-    return tuple(_residues(lattice).values())
+    return tuple(lattice._residues.values())
 
 
 def strata_profile(lattice: GeometricLattice) -> Mod2Profile:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .lattices import (
     GeometricLattice,
@@ -43,14 +42,13 @@ def mw_act_h2(lattice: GeometricLattice, w: Vec, x: H2ClassX) -> H2ClassX:
     )
 
 
-@lru_cache(maxsize=None)
 def coset_representative(x: Mod2Vector) -> Mod2Vector:
     """Lexicographically least representative of x modulo the radical.
 
-    Computed once per residue (at most 2^8 per lattice), and always the
-    interned residue, since the sum of two residues is.
+    Computed once per residue (at most 2^8 per lattice) and kept on it,
+    and always the interned residue, since the sum of two residues is.
     """
-    return min((x + r for r in radical_elements(x.lattice)), key=lambda y: y.bits)
+    return x._coset_representative
 
 
 def shell_classes(lattice: GeometricLattice, floor: int) -> Counter[tuple[int, Bits]]:

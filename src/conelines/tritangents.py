@@ -113,7 +113,7 @@ def oval_bridge_split(lattice: GeometricLattice, x: Mod2Vector) -> OvalBridgeSpl
     ovals = set(lattice.oval_indices)
     v_oval = tuple(b if i in ovals else 0 for i, b in enumerate(x.bits))
     v_bridge = tuple(b if i not in ovals else 0 for i, b in enumerate(x.bits))
-    return OvalBridgeSplit(Mod2Vector(v_oval, lattice), Mod2Vector(v_bridge, lattice))
+    return OvalBridgeSplit(reduce_mod2(lattice, v_oval), reduce_mod2(lattice, v_bridge))
 
 
 def boundary_delta(lattice: GeometricLattice, v_bridge: Mod2Vector) -> Mod2Vector:
@@ -132,7 +132,7 @@ def boundary_delta(lattice: GeometricLattice, v_bridge: Mod2Vector) -> Mod2Vecto
         for bridge, oval in ((i, j), (j, i)):
             if v_bridge.bits[bridge] and oval in lattice.oval_indices:
                 bits[oval] ^= 1
-    return Mod2Vector(tuple(bits), lattice)
+    return reduce_mod2(lattice, bits)
 
 
 def _band_label(e: Vec) -> str:

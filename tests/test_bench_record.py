@@ -51,15 +51,43 @@ def test_parent_and_change_records_condense_to_medians(tmp_path, monkeypatch):
     assert record["parent"]["host"] == "box" and record["parent"]["python"] == "CPython 3.11.7"
     assert record["parent"]["workloads"] == {
         "shell_sweep": {
-            "op_p50_ms": {"unit": "ms", "median": 650.0, "runs": [600.0, 650.0, 700.0]},
-            "peak_rss_mb": {"unit": "MB", "median": 30.0, "runs": [29.0, 30.0, 31.0]},
+            "op_p50_ms": {"unit": "ms", "median": 650.0, "quartiles": [625.0, 675.0], "runs": [600.0, 650.0, 700.0]},
+            "peak_rss_mb": {"unit": "MB", "median": 30.0, "quartiles": [29.5, 30.5], "runs": [29.0, 30.0, 31.0]},
         },
         "verify": {
-            "op_p50_ms": {"unit": "ms", "median": 1400.0, "runs": [1400.0]},
-            "peak_rss_mb": {"unit": "MB", "median": 23.0, "runs": [23.0]},
+            "op_p50_ms": {"unit": "ms", "median": 1400.0, "quartiles": [1400.0, 1400.0], "runs": [1400.0]},
+            "peak_rss_mb": {"unit": "MB", "median": 23.0, "quartiles": [23.0, 23.0], "runs": [23.0]},
         },
     }
     assert record["change"]["workloads"]["shell_sweep"]["op_p50_ms"]["median"] == 450.0
+    # Only the workload that both sides ran is compared, over the pairs there are.
+    assert record["comparison"] == {
+        "shell_sweep": {
+            "op_p50_ms": {"pairs": 1, "change_won": 1, "median_gap": 200.0, "parent_iqr": 50.0},
+            "peak_rss_mb": {"pairs": 1, "change_won": 0, "median_gap": -0.5, "parent_iqr": 1.0},
+        },
+    }
+
+
+def test_records_are_paired_in_the_order_given(tmp_path):
+    main = runpy.run_path(str(SCRIPT))["main"]
+    # Sorted, every change run would beat its parent run; in the order
+    # the runs alternated, only the first pair is won.
+    parent = [
+        _write(tmp_path, f"p{i}", _record("aaa", "s1", "shell_sweep", p50, 30.0))
+        for i, p50 in enumerate((700.0, 600.0, 650.0))
+    ]
+    change = [
+        _write(tmp_path, f"c{i}", _record("bbb", "s2", "shell_sweep", p50, 30.0))
+        for i, p50 in enumerate((590.0, 640.0, 660.0))
+    ]
+    out = tmp_path / "BENCH.json"
+    assert main(["--parent", *map(str, parent), "--change", *map(str, change), "--out", str(out)]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["comparison"]["shell_sweep"]["op_p50_ms"] == {
+        "pairs": 3, "change_won": 1, "median_gap": 10.0, "parent_iqr": 50.0,
+    }
+    assert record["comparison"]["shell_sweep"]["peak_rss_mb"]["change_won"] == 0
 
 
 @pytest.mark.parametrize(

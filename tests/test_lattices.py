@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -224,6 +225,8 @@ def test_theta_formulas_reproduce_the_known_e8_shells():
 def test_shell_counts_match_the_theta_series(key):
     lattice = lattice_for(key)
     shell = vectors_with_norm_at_least(lattice, -10)
+    # the descent fixes the first coordinate first, so no sort is needed
+    assert shell == tuple(sorted(shell))
     per_norm = Counter(-norm(lattice, v) // 2 for v in shell)
     assert [per_norm[k] for k in range(6)] == THETA_COUNTS[key]
     assert len(shell) == sum(THETA_COUNTS[key])
@@ -286,10 +289,18 @@ def test_section_classes_self_pair_to_minus_one(e8):
 
 _PICKLE_ALL = """
 import pickle, sys
-from conelines.lattices import ALL_SEXTIC_TYPES, build_lattice
-from conelines.mod2 import all_residues
+from conelines.lattices import ALL_SEXTIC_TYPES, build_lattice, pair
+from conelines.mod2 import all_residues, q0, reduce_mod2
+from conelines.translations import coset_representative
 lattices = [build_lattice(t) for t in ALL_SEXTIC_TYPES]
 residues = [all_residues(lattice) for lattice in lattices]
+for lattice, quotient in zip(lattices, residues):
+    # Build the kernels and every table before the dump.
+    for x in quotient:
+        assert pair(lattice, x.bits, x.bits) % 2 == 0
+        assert reduce_mod2(lattice, x.bits) is x
+        q0(x), coset_representative(x)
+    assert "_pair_kernel" in vars(lattice) and "_parity_kernel" in vars(lattice)
 for value in [*lattices, *(x for quotient in residues for x in quotient)]:
     hash(value)
     assert "_hash" in vars(value)  # the cached hash is part of the pickled state
@@ -298,17 +309,25 @@ sys.stdout.buffer.write(pickle.dumps((lattices, residues)))
 
 _LOAD_ALL = """
 import pickle, sys
-from conelines.lattices import ALL_SEXTIC_TYPES, build_lattice
-from conelines.mod2 import all_residues
+from conelines.lattices import ALL_SEXTIC_TYPES, build_lattice, pair
+from conelines.mod2 import all_residues, q0, reduce_mod2
+from conelines.translations import coset_representative
 loaded, loaded_residues = pickle.loads(sys.stdin.buffer.read())
 fresh = [build_lattice(t) for t in ALL_SEXTIC_TYPES]
 by_lattice = {lattice: lattice.sextic.key for lattice in fresh}
 for old, new in zip(loaded, fresh, strict=True):
     assert old == new and old is not new and hash(old) == hash(new), new.sextic
     assert by_lattice[old] == new.sextic.key
+    # The kernels stay behind, and are generated again on first use.
+    assert "_pair_kernel" not in vars(old) and "_parity_kernel" not in vars(old)
 for quotient, new in zip(loaded_residues, fresh, strict=True):
     for old, interned in zip(quotient, all_residues(new), strict=True):
         assert old == interned and old is not interned and hash(old) == hash(interned), old.bits
+        assert q0(old) == q0(interned) == (pair(new, old.bits, old.bits) // 2) & 1, old.bits
+        rep = coset_representative(old)
+        assert rep == coset_representative(interned) and rep.lattice is old.lattice, old.bits
+        # The loaded residues are the loaded lattice's table.
+        assert reduce_mod2(old.lattice, old.bits) is old and rep is reduce_mod2(old.lattice, rep.bits)
 print("ok")
 """
 
@@ -326,6 +345,44 @@ def test_a_pickled_lattice_keeps_its_hash_under_another_hash_seed():
         return done.stdout
 
     assert child(_LOAD_ALL, "2", child(_PICKLE_ALL, "1")) == b"ok\n"
+
+
+def _kernel_lattices():
+    with gram_fault():
+        faulted = lattice_for("4|0")
+    return [*(lattice_for(key) for key in TYPE_KEYS), faulted]
+
+
+@pytest.mark.parametrize("lattice", _kernel_lattices(), ids=[*TYPE_KEYS, "faulted-4|0"])
+def test_the_kernels_agree_with_the_gram_matrix(lattice):
+    from conelines.mod2 import reduce_mod2
+
+    rng = random.Random(f"kernels {lattice.sextic} {len(lattice.edges)}")
+    n = lattice.rank
+    for _ in range(200):
+        v = tuple(rng.randint(-9, 9) for _ in range(n))
+        w = tuple(rng.randint(-9, 9) for _ in range(n))
+        reference = sum(v[i] * lattice.gram[i][j] * w[j] for i in range(n) for j in range(n))
+        assert pair(lattice, v, w) == reference
+        assert reduce_mod2(lattice, v).bits == tuple(x % 2 for x in v)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((0, 1), (1, "2")), "is not a pair of integers"),
+        (((0, 1), (1, 2.0)), "is not a pair of integers"),
+        (((0, 1, 2),), "is not a pair of integers"),
+        (((0, 1), (1, 8)), r"leaves range\(8\)"),
+        (((0, 1), (-1, 2)), r"leaves range\(8\)"),
+    ],
+)
+def test_a_lattice_with_a_bad_edge_refuses_its_first_pairing(e8, edges, message):
+    bad = dataclasses.replace(e8, edges=edges)
+    v = (1,) * 8
+    with pytest.raises(ValueError, match=message):
+        pair(bad, v, v)
+    assert "_pair_kernel" not in vars(bad)
 
 
 def test_the_lattice_hash_is_cached_and_equality_stays_field_wise(e8):

@@ -1,9 +1,12 @@
 """Structural invariants of the tritangent classification."""
 
+import dataclasses
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
+from conelines import lattices, tritangents
 from conelines.lattices import SexticType, UnsupportedTypeError, is_root, unit_vec
 from conelines.mod2 import Mod2Vector, all_residues, radical_elements, reduce_mod2, zero_residue
 from conelines.tritangents import (
@@ -175,3 +178,29 @@ def test_cup_type_census_by_tangent_pattern():
     tallies = Counter(s_tan for _, s_tan in census)
     assert sorted(tallies.values()) == [8] * 15
     assert set(census.values()) == {1}
+
+
+@pytest.mark.parametrize("key", TYPE_KEYS)
+def test_a_cold_census_builds_no_residue_beyond_the_table(key, monkeypatch):
+    # A fresh copy of the lattice carries no tables yet, and an empty
+    # census cache makes enumerate_tritangents classify every root again.
+    fresh = dataclasses.replace(lattice_for(key))
+    built = []
+    check = Mod2Vector.__post_init__
+
+    def counted(self):
+        built.append(self.bits)
+        check(self)
+
+    monkeypatch.setattr(Mod2Vector, "__post_init__", counted)
+    monkeypatch.setattr(tritangents, "_enumerate", lru_cache(maxsize=None)(tritangents._enumerate.__wrapped__))
+    token = lattices._LATTICES.set({**lattices._LATTICES.get(), key: fresh})
+    try:
+        census = enumerate_tritangents(SexticType.from_key(key))
+    finally:
+        lattices._LATTICES.reset(token)
+    assert len(census) == len(enumerate_tritangents(SexticType.from_key(key)))
+    # Only the types with ovals split residues; each builds its quotient once.
+    sextic = fresh.sextic
+    assert len(built) == (0 if sextic.bands or not sextic.pos_ovals else 1 << fresh.rank)
+    assert len(set(built)) == len(built)
