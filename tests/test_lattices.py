@@ -32,6 +32,7 @@ from conelines.lattices import (
     vectors_with_norm_at_least,
     vneg,
 )
+from conelines.mod2 import reduce_mod2
 from conftest import TYPE_KEYS, lattice_for, src_env
 
 ROOT_COUNTS = {
@@ -355,8 +356,6 @@ def _kernel_lattices():
 
 @pytest.mark.parametrize("lattice", _kernel_lattices(), ids=[*TYPE_KEYS, "faulted-4|0"])
 def test_the_kernels_agree_with_the_gram_matrix(lattice):
-    from conelines.mod2 import reduce_mod2
-
     rng = random.Random(f"kernels {lattice.sextic} {len(lattice.edges)}")
     n = lattice.rank
     for _ in range(200):
