@@ -157,8 +157,9 @@ def gram_fault() -> Iterator[None]:
 
     The censuses must then fail.  The body's context sees a copy of the
     lattice table holding the faulted lattice; the shared table is never
-    written, so other threads keep the clean one.  Every cache downstream
-    is keyed on the lattice value, whose edges differ, and needs no clearing.
+    written, so other threads keep the clean one.  Every table derived
+    from the faulted lattice lives on it and dies with it, so nothing
+    needs clearing.
     """
     table = lattices._LATTICES.get()
     faulted = dataclasses.replace(table["4|0"], edges=table["4|0"].edges[1:])

@@ -24,7 +24,6 @@ from .intlinalg import Matrix, mat_mul, solve_left
 from .lattices import GeometricLattice, SurfaceType, UnsupportedTypeError, Vec, build_lattice
 from .mapping_class import (
     ModSElement,
-    _image_matrix,
     linear_coordinates,
     split_twist,
     translation_analysis,
@@ -241,7 +240,7 @@ def split_twist_preimage(lattice: GeometricLattice, i: int) -> Vec:
     image, as at ovals 2 and 4 of K#4T2 (the Z/2 cokernel).
     """
     surface = lattice.sextic.surface()
-    _, rows = _image_matrix(lattice, 0)
+    _, rows, _, _ = lattice._translations
     sol = solve_left(rows, linear_coordinates(split_twist(surface, i)))
     if sol is None:
         raise UnsupportedTypeError(f"no split-twist preimage at oval {i} on {surface}")

@@ -8,9 +8,9 @@ quotients.  ``row_hermite_form`` is the only elimination routine: the
 left kernel and row-span solves read off its transform, and the Smith
 form alternates Hermite forms of a matrix and of its transpose.
 Results are plain lists of lists of ints.  Inputs may be any sequences
-of integer rows (``mapping_class._image_matrix`` passes its cached
-tuples); they are copied and never written.  Sizes in this package stay
-in the single digits, so clarity beats asymptotics.
+of integer rows (a lattice's translation table passes tuples); they
+are copied and never written.  Sizes in this package stay in the
+single digits, so clarity beats asymptotics.
 """
 
 from __future__ import annotations

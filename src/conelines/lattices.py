@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .mod2 import Mod2Vector
+    from .tritangents import Tritangent
 
 Vec = tuple[int, ...]
 
@@ -207,9 +208,10 @@ class GeometricLattice:
     ``oval_indices``/``bridge_indices`` record which basis positions hold
     oval classes and which hold bridge classes.
 
-    Its Gram matrix, Fincke-Pohst levels, mod-2 quotient and kernels are
-    computed on first use and kept on the instance, so they live and die
-    with it.
+    Every table derived from it is computed on first use and kept on the
+    instance, so it lives and dies with it: the Gram matrix, the
+    Fincke-Pohst levels, the mod-2 quotient and its radical, the
+    tritangent census, the translation map's presentation and the kernels.
     """
 
     name: str
@@ -276,6 +278,31 @@ class GeometricLattice:
         from .mod2 import Mod2Vector  # mod2 builds on this module
 
         return {bits: Mod2Vector(bits, self) for bits in itertools.product((0, 1), repeat=self.rank)}
+
+    @cached_property
+    def _radical(self) -> tuple[Mod2Vector, ...]:
+        """The radical of the reduced form, in order of the residues' bits."""
+        from .mod2 import in_radical  # mod2 builds on this module
+
+        return tuple(x for x in self._residues.values() if in_radical(x))
+
+    @cached_property
+    def _tritangents(self) -> tuple[Tritangent, ...]:
+        """The positive tritangents, one per +/- root pair, by canonical representative."""
+        from .tritangents import classify_root  # tritangents builds on this module
+
+        return tuple(classify_root(self, plus) for plus, _ in root_pairs(self))
+
+    @cached_property
+    def _translations(self) -> tuple[int, tuple[Vec, ...], SurfaceType, tuple[Vec, ...]]:
+        """The translation map's presentation at star 0: ``_image_matrix``'s
+        (dim, rows), then the surface and per linear coordinate that
+        coordinate of each basis image.  All tuples: no reader can change it."""
+        from .mapping_class import _image_matrix  # mapping_class builds on this module
+
+        dim, rows = _image_matrix(self, 0)
+        # A rank-0 lattice has no images, but still one (empty) column per slot.
+        return dim, rows, self.sextic.surface(), tuple(zip(*rows[: self.rank])) or ((),) * dim
 
     @cached_property
     def _square_completion(self) -> tuple[int, tuple]:

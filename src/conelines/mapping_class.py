@@ -22,9 +22,10 @@ its own normal form, and elements built from coordinates are trusted.
 Translating along a section moves every fiber by an element of the
 vanishing-cycle lattice; ``translation_class`` is the resulting
 homomorphism from the lattice into the mapping class group.  Its one
-cached presentation ``_image_matrix`` is read by ``translation_class``,
+presentation, ``_image_matrix``, is kept on the lattice as its
+``_translations`` table, which ``translation_class``,
 ``is_translation_class``, ``homology_action.split_twist_preimage`` and
-``translation_analysis`` (kernel, image and cokernel) alike.
+``translation_analysis`` (kernel, image and cokernel) all read.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul
 
@@ -353,22 +353,13 @@ def _basis_image(lattice: GeometricLattice, j: int, star: int) -> ModSElement:
     raise RuntimeError(f"unexpected adjacency for basis element {lattice.basis_names[j]}")
 
 
-@lru_cache(maxsize=None)
 def _image_matrix(lattice: GeometricLattice, star: int) -> tuple[int, tuple[Vec, ...]]:
     """The translation map's presentation: ambient rank of the linear
     coordinates, then the basis images' coordinate rows (``rank`` of them)
-    followed by the relators.  All tuples: no reader can change the cache."""
+    followed by the relators.  The lattice keeps the one at star 0."""
     dim, relators = _coordinate_relators(lattice.sextic.surface())
     images = (linear_coordinates(_basis_image(lattice, j, star)) for j in range(lattice.rank))
     return dim, (*images, *relators)
-
-
-@lru_cache(maxsize=None)
-def _image_columns(lattice: GeometricLattice) -> tuple[SurfaceType, tuple[Vec, ...]]:
-    """The surface, and per linear coordinate that coordinate of each basis image."""
-    dim, rows = _image_matrix(lattice, 0)
-    # A rank-0 lattice has no images, but still one (empty) column per slot.
-    return lattice.sextic.surface(), tuple(zip(*rows[: lattice.rank])) or ((),) * dim
 
 
 def translation_class(lattice: GeometricLattice, v: Vec) -> ModSElement:
@@ -379,7 +370,7 @@ def translation_class(lattice: GeometricLattice, v: Vec) -> ModSElement:
     """
     if len(v) != lattice.rank:
         raise ValueError("vector length differs from lattice rank")
-    surface, columns = _image_columns(lattice)
+    _, _, surface, columns = lattice._translations
     return from_linear_coordinates(surface, [sum(map(mul, v, col)) for col in columns])
 
 
@@ -401,7 +392,7 @@ def translation_analysis(lattice: GeometricLattice, star: int = 0) -> Translatio
     ``star`` (0 or 1) picks the image of the band type's central bridge:
     the component swap, or the swap composed with the shift.
     """
-    dim, stacked = _image_matrix(lattice, star)
+    dim, stacked = _image_matrix(lattice, star) if star else lattice._translations[:2]
     kernel = hermite_rows([row[: lattice.rank] for row in left_kernel_basis(stacked)])
     image = quotient_invariants(lattice.rank, kernel)
     return TranslationAnalysis(kernel, image, quotient_invariants(dim, stacked))
@@ -409,7 +400,7 @@ def translation_analysis(lattice: GeometricLattice, star: int = 0) -> Translatio
 
 def is_translation_class(g: ModSElement) -> bool:
     """Is the mapping class realized by translation along some lattice vector?"""
-    _, rows = _image_matrix(build_lattice(g.surface.sextic()), 0)
+    _, rows, _, _ = build_lattice(g.surface.sextic())._translations
     return in_rowspan(rows, linear_coordinates(g))
 
 

@@ -11,7 +11,7 @@ every such residue lifts to exactly one pair of opposite roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import xor
 
 from .lattices import (
@@ -98,10 +98,9 @@ def q0(x: Mod2Vector) -> int:
     return x._q0
 
 
-@lru_cache(maxsize=None)
 def radical_elements(lattice: GeometricLattice) -> tuple[Mod2Vector, ...]:
     """Every element of the radical of the reduced form, in order of their bits."""
-    return tuple(x for x in all_residues(lattice) if in_radical(x))
+    return lattice._radical
 
 
 def in_radical(x: Mod2Vector) -> bool:

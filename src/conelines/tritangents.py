@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 
 from .lattices import (
     GeometricLattice,
@@ -26,7 +25,6 @@ from .lattices import (
     build_lattice,
     canonical_root_pair,
     is_root,
-    root_pairs,
 )
 from .mod2 import Mod2Vector, reduce_mod2
 
@@ -210,17 +208,12 @@ def _code(sextic: SexticType, tri: Tritangent) -> Code:
     return Code(symbols, bracket, None)
 
 
-@lru_cache(maxsize=None)
-def _enumerate(lattice: GeometricLattice) -> tuple[Tritangent, ...]:
-    return tuple(classify_root(lattice, plus) for plus, _ in root_pairs(lattice))
-
-
 def enumerate_tritangents(sextic: SexticType) -> tuple[Tritangent, ...]:
     """All positive tritangents of a sextic type, one per +/- root pair.
 
     Deterministic: ordered by the canonical root representative.
     """
-    return _enumerate(build_lattice(sextic))
+    return build_lattice(sextic)._tritangents
 
 
 def type_census(sextic: SexticType) -> dict[TritangentType, int]:

@@ -5,6 +5,7 @@ check families; criterion 12 drives the command-line entry point itself,
 including `verify --fault`, and pins the whole report byte for byte.
 """
 
+import gc
 import hashlib
 import random
 import subprocess
@@ -13,6 +14,7 @@ import sys
 import pytest
 
 from conelines import cli, verify
+from conelines.lattices import GeometricLattice
 from conftest import src_env
 
 #: sha256 of the markdown reports of ``verify`` and ``verify --fault gram``
@@ -118,10 +120,21 @@ def test_each_family_draws_a_pinned_share_of_its_rng(families, number):
     assert after == RNG_AFTER_FAMILY[number]
 
 
+def _faulted_e8s() -> list[GeometricLattice]:
+    """Every reachable lattice that is the gram fault's E8: rank 8, one edge short."""
+    gc.collect()
+    return [
+        o for o in gc.get_objects()
+        if isinstance(o, GeometricLattice) and o.rank == 8 and len(o.edges) == 6
+    ]
+
+
 def test_criterion_12_cli_self_check(tmp_path, capsys):
     assert cli.main(["verify", "--out", str(tmp_path / "clean.md")]) == 0
+    before = _faulted_e8s()  # other tests may hold faulted lattices of their own
     assert cli.main(["verify", "--fault", "gram", "--out", str(tmp_path / "hurt.md")]) == 1
     # the fault hook must leave no state behind for the next run
+    assert [o for o in _faulted_e8s() if not any(o is b for b in before)] == []
     assert cli.main(["verify", "--out", str(tmp_path / "after.md")]) == 0
     capsys.readouterr()
     clean = (tmp_path / "clean.md").read_text(encoding="utf-8")

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -35,19 +36,20 @@ from conelines.lattices import (
 from conelines.mod2 import reduce_mod2
 from conftest import TYPE_KEYS, lattice_for, src_env
 
-ROOT_COUNTS = {
-    "4|0": 240,
-    "3|0": 126,
-    "2|0": 60,
-    "1|0": 26,
-    "0|0": 8,
-    "1|1": 24,
-    "|||": 24,
-    "0|1": 6,
-    "0|2": 4,
-    "0|3": 2,
-    "0|4": 0,
-}
+
+def _root_count(name: str) -> int:
+    """Roots of a root system from its Dynkin name, such as "D4+A1" or "4A1":
+    A_n has n(n+1), D_n has 2n(n-1), E7 has 126 and E8 has 240, and
+    components add.  "0" names the empty system."""
+    if name == "0":
+        return 0
+    total = 0
+    for part in name.split("+"):
+        times, kind, n = re.fullmatch(r"(\d*)([ADE])(\d+)", part).groups()
+        n = int(n)
+        count = {"A": n * (n + 1), "D": 2 * n * (n - 1), "E": {7: 126, 8: 240}.get(n)}[kind]
+        total += int(times or 1) * count
+    return total
 
 
 @st.composite
@@ -84,7 +86,8 @@ def test_gram_is_symmetric_with_even_diagonal(key):
 
 @pytest.mark.parametrize("key", TYPE_KEYS)
 def test_root_count(key):
-    assert len(enumerate_roots(lattice_for(key))) == ROOT_COUNTS[key]
+    lattice = lattice_for(key)
+    assert len(enumerate_roots(lattice)) == _root_count(lattice.name) == THETA_COUNTS[key][1]
 
 
 def test_roots_come_in_opposite_pairs(e8):
@@ -301,6 +304,7 @@ for lattice, quotient in zip(lattices, residues):
         assert pair(lattice, x.bits, x.bits) % 2 == 0
         assert reduce_mod2(lattice, x.bits) is x
         q0(x), coset_representative(x)
+    lattice._radical, lattice._tritangents, lattice._translations
     assert "_pair_kernel" in vars(lattice) and "_parity_kernel" in vars(lattice)
 for value in [*lattices, *(x for quotient in residues for x in quotient)]:
     hash(value)
@@ -321,6 +325,9 @@ for old, new in zip(loaded, fresh, strict=True):
     assert by_lattice[old] == new.sextic.key
     # The kernels stay behind, and are generated again on first use.
     assert "_pair_kernel" not in vars(old) and "_parity_kernel" not in vars(old)
+    # The derived tables travel, and equal the ones a fresh lattice builds.
+    for table in ("_radical", "_tritangents", "_translations"):
+        assert table in vars(old) and getattr(old, table) == getattr(new, table), (new.sextic, table)
 for quotient, new in zip(loaded_residues, fresh, strict=True):
     for old, interned in zip(quotient, all_residues(new), strict=True):
         assert old == interned and old is not interned and hash(old) == hash(interned), old.bits

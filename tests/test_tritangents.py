@@ -2,11 +2,10 @@
 
 import dataclasses
 from collections import Counter
-from functools import lru_cache
 
 import pytest
 
-from conelines import lattices, tritangents
+from conelines import lattices
 from conelines.lattices import SexticType, UnsupportedTypeError, is_root, unit_vec
 from conelines.mod2 import Mod2Vector, all_residues, radical_elements, reduce_mod2, zero_residue
 from conelines.tritangents import (
@@ -182,8 +181,8 @@ def test_cup_type_census_by_tangent_pattern():
 
 @pytest.mark.parametrize("key", TYPE_KEYS)
 def test_a_cold_census_builds_no_residue_beyond_the_table(key, monkeypatch):
-    # A fresh copy of the lattice carries no tables yet, and an empty
-    # census cache makes enumerate_tritangents classify every root again.
+    # A fresh copy of the lattice carries no tables yet, the census
+    # included, so enumerate_tritangents classifies every root again.
     fresh = dataclasses.replace(lattice_for(key))
     built = []
     check = Mod2Vector.__post_init__
@@ -193,7 +192,6 @@ def test_a_cold_census_builds_no_residue_beyond_the_table(key, monkeypatch):
         check(self)
 
     monkeypatch.setattr(Mod2Vector, "__post_init__", counted)
-    monkeypatch.setattr(tritangents, "_enumerate", lru_cache(maxsize=None)(tritangents._enumerate.__wrapped__))
     token = lattices._LATTICES.set({**lattices._LATTICES.get(), key: fresh})
     try:
         census = enumerate_tritangents(SexticType.from_key(key))
