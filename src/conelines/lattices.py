@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt, lcm
 from types import MappingProxyType
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .mod2 import Mod2Vector
@@ -212,6 +212,7 @@ class GeometricLattice:
     instance, so it lives and dies with it: the Gram matrix, the
     Fincke-Pohst levels, the mod-2 quotient and its radical, the
     tritangent census, the translation map's presentation and the kernels.
+    ``build_lattice.cache_clear()`` drops them from the current lattices.
     """
 
     name: str
@@ -428,6 +429,35 @@ _LATTICES: ContextVar[Mapping[str, GeometricLattice]] = ContextVar(
 def build_lattice(sextic: SexticType) -> GeometricLattice:
     """The geometric root lattice of a sextic type, in its normative basis."""
     return _LATTICES.get()[sextic.key]
+
+
+#: The values a lattice computes on first use and keeps, by attribute name.
+_TABLES = tuple(name for name, value in vars(GeometricLattice).items() if isinstance(value, cached_property))
+
+
+class _TablesInfo(NamedTuple):
+    hits: int  # a kept table is read as a plain attribute, so never counted
+    misses: int  # values built since the last drop
+
+
+def _drop_tables() -> None:
+    """Drop every value kept on the current lattices; each is built again on its next use."""
+    for lattice in _LATTICES.get().values():
+        for name in _TABLES:
+            vars(lattice).pop(name, None)
+
+
+def _tables_info() -> _TablesInfo:
+    built = sum(name in vars(lattice) for lattice in _LATTICES.get().values() for name in _TABLES)
+    return _TablesInfo(0, built)
+
+
+# The lattices' tables are the package's one cache.  ``build_lattice``
+# answers to the two methods of a ``functools`` cache, so a tool that
+# empties a package's caches through them (perfbench's tracer does)
+# starts every lattice as cold as a new process would.
+build_lattice.cache_clear = _drop_tables
+build_lattice.cache_info = _tables_info
 
 
 # ---------------------------------------------------------------------------

@@ -396,3 +396,19 @@ def test_the_lattice_hash_is_cached_and_equality_stays_field_wise(e8):
     copy = dataclasses.replace(e8)
     assert copy == e8 and copy is not e8 and hash(copy) == hash(e8)
     assert dataclasses.replace(e8, name="E8'") != e8
+
+
+def test_cache_clear_drops_every_kept_table_and_rebuilds_it_alike():
+    from conelines import lattices
+    from conelines.tritangents import enumerate_tritangents
+
+    e8 = build_lattice(SexticType.from_key("4|0"))
+    enumerate_tritangents(e8.sextic)
+    pair(e8, e8.basis_vector(0), e8.basis_vector(0))
+    kept = {name: getattr(e8, name) for name in lattices._TABLES if name not in lattices._KERNELS}
+    assert build_lattice.cache_info().misses >= len(lattices._TABLES)
+    build_lattice.cache_clear()
+    assert build_lattice.cache_info() == (0, 0)
+    assert not set(vars(e8)) & set(lattices._TABLES)
+    assert build_lattice(e8.sextic) is e8
+    assert {name: getattr(e8, name) for name in kept} == kept
