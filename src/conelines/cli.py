@@ -322,6 +322,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(_shield_negative_lists(sys.argv[1:] if argv is None else argv))
     if not 0 <= args.seed < 2**64:
         parser.error("--seed must fit in an unsigned 64-bit integer")
+    # argparse before Python 3.13 reads a second "--" as an empty list in a positional's place.
+    if any(isinstance(value, list) for value in vars(args).values()):
+        parser.error('"--" may stand only once')
 
     try:
         if args.command == "tables":

@@ -11,11 +11,16 @@ anticanonical pencil of the degree-one del Pezzo double cover.
 
 The descent completes squares from the last coordinate down, so it fixes
 the first coordinate first and emits each shell in lexicographic order.
-A lattice generates two kernels from its rank and edge list the first
-time they are used: the pairing as one straight-line sum over the edges
-and the diagonal, and the coordinatewise parities as one tuple.  Their
-source holds only names, operators and edge indices checked to be
-integers in range(rank).
+A lattice generates its kernels from its rank, edge list and descent
+levels the first time each is used, as plain functions that unpack a
+vector's coordinates into names: the pairing and the norm as straight-line
+sums over the edges and the diagonal, the mod-2 reduction as one lookup of
+the parities in the residue table, and the descent (``_descent``) as one
+loop nest, ``for x0 ...: ... for x{n-1} ...:``, whose innermost body
+either keeps the vector or counts it by (fiber bit, parities) without
+building it.  Their source holds only names, operators, and edge indices
+and descent levels checked to be integers; their globals are the residue
+table, ``isqrt`` and ``range``.
 
 All vectors are plain integer tuples in the fixed basis, so every value in
 this module is hashable and safe to share between threads.
@@ -35,6 +40,8 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
+    from collections import Counter
+
     from .mod2 import Mod2Vector
     from .tritangents import Tritangent
 
@@ -250,14 +257,51 @@ class GeometricLattice:
     @cached_property
     def _pair_kernel(self) -> Callable[[Vec, Vec], int]:
         """v.w as one straight-line expression: each edge's two products, minus twice the diagonal."""
-        edges = " + ".join(f"v[{i}] * w[{j}] + v[{j}] * w[{i}]" for i, j in self._checked_edges())
-        diagonal = " + ".join(f"v[{i}] * w[{i}]" for i in range(self.rank))
-        return _kernel(f"lambda v, w: {edges or 0} - 2 * ({diagonal or 0})")
+        edges = " + ".join(f"x{i} * y{j} + x{j} * y{i}" for i, j in self._checked_edges())
+        diagonal = " + ".join(f"x{i} * y{i}" for i in range(self.rank))
+        return _kernel(
+            "def kernel(v, w):",
+            f"    ({_coordinates('x', self.rank)}) = v",
+            f"    ({_coordinates('y', self.rank)}) = w",
+            f"    return {edges or 0} - 2 * ({diagonal or 0})",
+        )
 
     @cached_property
-    def _parity_kernel(self) -> Callable[[Vec], tuple[int, ...]]:
-        """The coordinatewise parities of a vector, as one tuple display."""
-        return _kernel("lambda v: (" + "".join(f"v[{i}] & 1, " for i in range(self.rank)) + ")")
+    def _norm_kernel(self) -> Callable[[Vec], int]:
+        """v.v as twice the edge products minus twice the squares."""
+        edges = " + ".join(f"x{i} * x{j}" for i, j in self._checked_edges())
+        diagonal = " + ".join(f"x{i} * x{i}" for i in range(self.rank))
+        return _kernel(
+            "def kernel(v):",
+            f"    ({_coordinates('x', self.rank)}) = v",
+            f"    return 2 * ({edges or 0} - ({diagonal or 0}))",
+        )
+
+    @cached_property
+    def _residue_kernel(self) -> Callable[[Vec], Mod2Vector]:
+        """The interned residue of a vector, looked up by its coordinatewise parities."""
+        return _kernel(
+            "def kernel(v):",
+            f"    ({_coordinates('x', self.rank)}) = v",
+            f"    return residues[({_parities(self.rank)})]",
+            residues=self._residues,
+        )
+
+    @cached_property
+    def _shell_kernel(self) -> Callable[[int, Callable[[Vec], object]], None]:
+        """The descent that hands each vector of a shell to its sink, in lexicographic order."""
+        return _kernel(*_descent(*self._square_completion, f"sink(({_coordinates('x', self.rank)}))"))
+
+    @cached_property
+    def _count_kernel(self) -> Callable[[int, Counter], None]:
+        """The descent that counts a shell's vectors by (fiber bit, parities), building none.
+
+        A vector spent S * (-v.v) of the budget, so its fiber bit, half its
+        own norm mod 2, is that over 2S, mod 2.
+        """
+        scale, levels = self._square_completion
+        leaf = f"sink[({{spent}}) // {2 * scale} & 1, ({_parities(self.rank)})] += 1"
+        return _kernel(*_descent(scale, levels, leaf))
 
     def _checked_edges(self) -> tuple[tuple[int, int], ...]:
         """The edges as plain integers in range(rank): the only values a kernel's source holds."""
@@ -353,13 +397,81 @@ class GeometricLattice:
         return self.oval_indices.index(basis_index) + 1
 
 
-#: The instance attributes that hold generated code, left out of the pickled state.
-_KERNELS = frozenset(("_pair_kernel", "_parity_kernel"))
+def _coordinates(name: str, rank: int) -> str:
+    """A vector's coordinates as tuple items: ``x0, x1, `` for rank 2, nothing for rank 0."""
+    return "".join(f"{name}{i}, " for i in range(rank))
 
 
-def _kernel(source: str) -> Callable:
-    """Compile a lambda whose source holds only checked integers, names and operators."""
-    return eval(compile(source, "<lattice kernel>", "eval"), {"__builtins__": {}})
+def _parities(rank: int) -> str:
+    """A vector's coordinatewise parities as tuple items."""
+    return "".join(f"x{i} & 1, " for i in range(rank))
+
+
+def _kernel(*lines: str, **tables: object) -> Callable:
+    """Compile the function ``kernel`` from source that holds only checked integers, names and operators.
+
+    Its globals are the named tables, ``isqrt`` and ``range``: no other builtin.
+    """
+    scope = {"__builtins__": {}, "isqrt": isqrt, "range": range, **tables}
+    exec(compile("\n".join(lines), "<lattice kernel>", "exec"), scope)
+    return scope["kernel"]
+
+
+def _descent(scale: int, levels: tuple, leaf: str) -> tuple[str, ...]:
+    """The Fincke-Pohst descent over ``_square_completion`` as the source of one loop nest.
+
+    ``kernel(floor, sink)`` runs ``leaf`` once per vector v with
+    floor <= v.v, at the heart of ``for x0 ...: ... for x{n-1} ...:``.
+    The budget starts at r0 = -floor * S.  At level i the coordinates
+    before it fix the centre c = sum a_ij x_j, and K_i u^2 <= r_i holds
+    exactly when |u| <= t = isqrt(r_i // K_i), u = den_i x_i + c, so x_i
+    runs upwards over ceil((-t - c) / den_i) .. floor((t - c) / den_i)
+    with no further test, and r_{i+1} = r_i - K_i u^2 is passed down.
+    The vectors therefore come in lexicographic order.  In ``leaf`` the
+    names x0 .. x{n-1} hold the vector and ``{spent}`` stands for
+    S * (-v.v) = r0 - r_{n-1} + K_{n-1} u_{n-1}^2.
+
+    S and every level are checked first; a value that is not an integer,
+    a scale, den or K below 1, or a centre on a coordinate that is not
+    fixed yet raises ``ValueError`` and nothing is generated.
+    """
+    levels = _checked_levels(scale, levels)
+    lines = ["def kernel(floor, sink):", "    if floor > 0:", "        return", f"    r0 = -floor * {scale}"]
+    spent = "0"
+    for i, (den, weight, centre) in enumerate(levels):
+        pad = "    " * (i + 1)
+        lines += [
+            f"{pad}c{i} = " + (" + ".join(f"{a} * x{j}" for j, a in centre) or "0"),
+            f"{pad}t = isqrt(r{i} // {weight})",
+            f"{pad}for x{i} in range(-((t + c{i}) // {den}), (t - c{i}) // {den} + 1):",
+        ]
+        if i + 1 < len(levels):
+            lines += [f"{pad}    u = {den} * x{i} + c{i}", f"{pad}    r{i + 1} = r{i} - {weight} * u * u"]
+        else:
+            spent = f"r0 - r{i} + {weight} * ({den} * x{i} + c{i}) ** 2"
+    return (*lines, "    " * (len(levels) + 1) + leaf.format(spent=spent))
+
+
+def _checked_levels(scale: int, levels: tuple) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """The scale and levels as plain integers: with the edges, the only values a kernel's source holds."""
+    if type(scale) is not int or scale < 1:
+        raise ValueError(f"the descent's scale {scale!r} is not a positive integer")
+    checked = []
+    for i, level in enumerate(levels):
+        try:
+            den, weight, centre = level
+            values = [den, weight, *(value for term in centre for value in term)]
+            centre = tuple((j, a) for j, a in centre)
+        except (TypeError, ValueError):
+            raise ValueError(f"level {i} of the descent, {level!r}, is not (den, K, ((j, a), ...))") from None
+        if any(type(value) is not int for value in values):
+            raise ValueError(f"level {i} of the descent, {level!r}, holds a value that is not an integer")
+        if den < 1 or weight < 1:
+            raise ValueError(f"level {i} of the descent, {level!r}, has a den or K below 1")
+        if not all(0 <= j < i for j, _ in centre):
+            raise ValueError(f"level {i} of the descent, {level!r}, centres on a coordinate not fixed before it")
+        checked.append((den, weight, centre))
+    return tuple(checked)
 
 
 # (basis names, adjacency edges, oval positions, lattice name) per type key.
@@ -434,6 +546,9 @@ def build_lattice(sextic: SexticType) -> GeometricLattice:
 #: The values a lattice computes on first use and keeps, by attribute name.
 _TABLES = tuple(name for name, value in vars(GeometricLattice).items() if isinstance(value, cached_property))
 
+#: The tables that hold generated code, left out of the pickled state.
+_KERNELS = frozenset(name for name in _TABLES if name.endswith("_kernel"))
+
 
 class _TablesInfo(NamedTuple):
     hits: int  # a kept table is read as a plain attribute, so never counted
@@ -479,7 +594,11 @@ def pair(lattice: GeometricLattice, v: Vec, w: Vec) -> int:
 
 
 def norm(lattice: GeometricLattice, v: Vec) -> int:
-    return pair(lattice, v, v)
+    """v.v = 2 sum_{(i, j) edge} v_i v_j - 2 sum_i v_i^2, spelled out by the lattice's norm kernel."""
+    n = lattice.rank
+    if len(v) != n:
+        raise ValueError(f"coordinate length mismatch: rank {n}, got {len(v)} and {len(v)}")
+    return lattice._norm_kernel(v)
 
 
 def is_root(lattice: GeometricLattice, v: Vec) -> bool:
@@ -495,39 +614,12 @@ def vectors_with_norm_at_least(lattice: GeometricLattice, floor: int) -> tuple[V
     """All lattice vectors v with floor <= v.v (<= 0 by definiteness), sorted.
 
     Fincke-Pohst enumeration on integers only (Fincke and Pohst, Math.
-    Comp. 44, 1985; Cohen, Alg. 2.7.5), over the levels of the lattice's
-    ``_square_completion``.  The budget starts at R = -floor * S and the
-    descent fixes the first coordinate first.  At level i the coordinates
-    before it fix the centre c = sum a_ij x_j, and K_i u^2 <= R holds
-    exactly when |u| <= t = isqrt(R // K_i), so x_i runs upwards over
-    ceil((-t - c) / den_i) .. floor((t - c) / den_i) with no further test
-    and R - K_i u^2 is passed down.  The vectors therefore come out in
-    lexicographic order, and need no sort.
+    Comp. 44, 1985; Cohen, Alg. 2.7.5), run by the lattice's shell kernel:
+    its descent (``_descent``) fixes the first coordinate first, so the
+    vectors come out in lexicographic order and need no sort.
     """
-    n = lattice.rank
-    if floor > 0:
-        return ()
-    if n == 0:
-        return ((),)
-    scale, levels = lattice._square_completion
-    last = n - 1
     out: list[Vec] = []
-
-    def descend(i: int, budget: int, prefix: Vec) -> None:
-        den, weight, centre = levels[i]
-        c = 0
-        for j, a in centre:
-            c += a * prefix[j]
-        t = isqrt(budget // weight)
-        xs = range(-((t + c) // den), (t - c) // den + 1)
-        if i == last:
-            out.extend([prefix + (x,) for x in xs])
-        else:
-            for x in xs:
-                u = den * x + c
-                descend(i + 1, budget - weight * u * u, prefix + (x,))
-
-    descend(0, -floor * scale, ())
+    lattice._shell_kernel(floor, out.append)
     return tuple(out)
 
 

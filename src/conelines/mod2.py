@@ -74,7 +74,7 @@ def reduce_mod2(lattice: GeometricLattice, v: Vec) -> Mod2Vector:
     """Coordinatewise reduction of an integer vector, as the interned residue."""
     if len(v) != lattice.rank:
         raise ValueError("bit length does not match the lattice rank")
-    return lattice._residues[lattice._parity_kernel(v)]
+    return lattice._residue_kernel(v)
 
 
 def zero_residue(lattice: GeometricLattice) -> Mod2Vector:

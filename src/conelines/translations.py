@@ -27,7 +27,6 @@ from .lattices import (
     pair,
     vadd,
     smul,
-    vectors_with_norm_at_least,
 )
 from .mod2 import Bits, Mod2Vector, mod2_pair, q0, radical_elements, reduce_mod2
 
@@ -55,12 +54,17 @@ def shell_classes(lattice: GeometricLattice, floor: int) -> Counter[tuple[int, B
     """How many vectors of self-pairing >= floor reduce to each class.
 
     A class is the fiber bit (half the self-pairing, mod 2) with the bits
-    of the coset representative of the vector's mod-2 reduction.
+    of the coset representative of the vector's mod-2 reduction.  The
+    lattice's counting kernel runs the shell's descent without building a
+    vector: it counts by the fiber bit, read off each vector's own norm,
+    and the parities; each residue met is then mapped once to its coset.
     """
-    return Counter(
-        ((norm(lattice, w) // 2) % 2, coset_representative(reduce_mod2(lattice, w)).bits)
-        for w in vectors_with_norm_at_least(lattice, floor)
-    )
+    by_parities: Counter[tuple[int, Bits]] = Counter()
+    lattice._count_kernel(floor, by_parities)
+    hits: Counter[tuple[int, Bits]] = Counter()
+    for (mu, bits), count in by_parities.items():
+        hits[mu, coset_representative(lattice._residues[bits]).bits] += count
+    return hits
 
 
 @dataclass(frozen=True)

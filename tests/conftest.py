@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import conelines
+from conelines.cli import gram_fault
 from conelines.lattices import ALL_SEXTIC_TYPES, SexticType, build_lattice
 
 TYPE_KEYS = tuple(s.key for s in ALL_SEXTIC_TYPES)
@@ -28,6 +29,17 @@ def d4_band():
 
 def lattice_for(key: str):
     return build_lattice(SexticType.from_key(key))
+
+
+#: Test ids of ``lattices_and_a_faulted_e8()``, in its order.
+FAULTED_IDS = (*TYPE_KEYS, "faulted-4|0")
+
+
+def lattices_and_a_faulted_e8() -> list:
+    """Every lattice, then the E8 that ``--fault gram`` builds (A1 + E7: its O1-B12 edge is gone)."""
+    with gram_fault():
+        faulted = lattice_for("4|0")
+    return [*(lattice_for(key) for key in TYPE_KEYS), faulted]
 
 
 def assert_rejected(call, error: type[Exception], message: str) -> None:

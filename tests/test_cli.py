@@ -180,6 +180,15 @@ def test_act_negative_vector_with_or_without_double_dash(capsys):
     assert dict(json.loads(out)["rows"])["class out"] == "(0, 0, 0, 0, 0, 0, 1)"
 
 
+def test_a_second_double_dash_is_a_usage_error(capsys):
+    # argparse before Python 3.13 would hand the class's slot an empty list.
+    for argv in (("act", "--", "K#T2", "--", "0,0,0,1"), ("act", "--", "K#T2", "0,1,0,0,0", "--")):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(list(argv))
+        assert exited.value.code == 2
+        assert '"--" may stand only once' in capsys.readouterr().err
+
+
 def test_act_dimension_mismatches(capsys):
     assert run(capsys, "act", "K#T2", "0,1", "0,0,0,1")[0] == 2
     assert run(capsys, "act", "K#T2", "0,1,0,0,0", "0,0,1")[0] == 2

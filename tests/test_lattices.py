@@ -34,7 +34,8 @@ from conelines.lattices import (
     vneg,
 )
 from conelines.mod2 import reduce_mod2
-from conftest import TYPE_KEYS, lattice_for, src_env
+from conelines.translations import shell_classes
+from conftest import FAULTED_IDS, TYPE_KEYS, lattice_for, lattices_and_a_faulted_e8, src_env
 
 
 def _root_count(name: str) -> int:
@@ -238,6 +239,18 @@ def test_shell_counts_match_the_theta_series(key):
     assert vectors_with_norm_at_least(lattice, 1) == ()
 
 
+def test_the_counting_descent_reproduces_the_e8_theta_series_to_norm_minus_14(e8):
+    # 1 + 240 sum_{k<=7} sigma_3(k) vectors, and the fiber bit of a vector
+    # of norm -2k is k mod 2: the count at depth and each leaf's own bit.
+    sigma3 = [sum(d**3 for d in range(1, k + 1) if k % d == 0) for k in range(8)]
+    hits = shell_classes(e8, -14)
+    by_bit = Counter()
+    for (mu, _), count in hits.items():
+        by_bit[mu] += count
+    assert hits.total() == 1 + 240 * sum(sigma3[1:]) == 199921
+    assert by_bit == {0: 1 + 240 * sum(sigma3[2::2]), 1: 240 * sum(sigma3[1::2])}
+
+
 def test_type_keys_round_trip():
     for key in TYPE_KEYS:
         assert SexticType.from_key(key).key == key
@@ -293,7 +306,7 @@ def test_section_classes_self_pair_to_minus_one(e8):
 
 _PICKLE_ALL = """
 import pickle, sys
-from conelines.lattices import ALL_SEXTIC_TYPES, build_lattice, pair
+from conelines.lattices import _KERNELS, ALL_SEXTIC_TYPES, build_lattice, pair
 from conelines.mod2 import all_residues, q0, reduce_mod2
 from conelines.translations import coset_representative
 lattices = [build_lattice(t) for t in ALL_SEXTIC_TYPES]
@@ -305,7 +318,9 @@ for lattice, quotient in zip(lattices, residues):
         assert reduce_mod2(lattice, x.bits) is x
         q0(x), coset_representative(x)
     lattice._radical, lattice._tritangents, lattice._translations
-    assert "_pair_kernel" in vars(lattice) and "_parity_kernel" in vars(lattice)
+    for kernel in _KERNELS:
+        getattr(lattice, kernel)
+    assert _KERNELS <= set(vars(lattice)), sorted(_KERNELS - set(vars(lattice)))
 for value in [*lattices, *(x for quotient in residues for x in quotient)]:
     hash(value)
     assert "_hash" in vars(value)  # the cached hash is part of the pickled state
@@ -314,7 +329,7 @@ sys.stdout.buffer.write(pickle.dumps((lattices, residues)))
 
 _LOAD_ALL = """
 import pickle, sys
-from conelines.lattices import ALL_SEXTIC_TYPES, build_lattice, pair
+from conelines.lattices import _KERNELS, ALL_SEXTIC_TYPES, build_lattice, pair
 from conelines.mod2 import all_residues, q0, reduce_mod2
 from conelines.translations import coset_representative
 loaded, loaded_residues = pickle.loads(sys.stdin.buffer.read())
@@ -323,8 +338,8 @@ by_lattice = {lattice: lattice.sextic.key for lattice in fresh}
 for old, new in zip(loaded, fresh, strict=True):
     assert old == new and old is not new and hash(old) == hash(new), new.sextic
     assert by_lattice[old] == new.sextic.key
-    # The kernels stay behind, and are generated again on first use.
-    assert "_pair_kernel" not in vars(old) and "_parity_kernel" not in vars(old)
+    # No kernel travels; each is generated again on first use.
+    assert not _KERNELS & set(vars(old)), sorted(_KERNELS & set(vars(old)))
     # The derived tables travel, and equal the ones a fresh lattice builds.
     for table in ("_radical", "_tritangents", "_translations"):
         assert table in vars(old) and getattr(old, table) == getattr(new, table), (new.sextic, table)
@@ -352,16 +367,14 @@ def test_a_pickled_lattice_keeps_its_hash_under_another_hash_seed():
         assert done.returncode == 0, done.stderr.decode()
         return done.stdout
 
+    # The kernels are the tables named ``*_kernel``: every generated function.
+    from conelines import lattices
+
+    assert lattices._KERNELS == {"_pair_kernel", "_norm_kernel", "_residue_kernel", "_shell_kernel", "_count_kernel"}
     assert child(_LOAD_ALL, "2", child(_PICKLE_ALL, "1")) == b"ok\n"
 
 
-def _kernel_lattices():
-    with gram_fault():
-        faulted = lattice_for("4|0")
-    return [*(lattice_for(key) for key in TYPE_KEYS), faulted]
-
-
-@pytest.mark.parametrize("lattice", _kernel_lattices(), ids=[*TYPE_KEYS, "faulted-4|0"])
+@pytest.mark.parametrize("lattice", lattices_and_a_faulted_e8(), ids=FAULTED_IDS)
 def test_the_kernels_agree_with_the_gram_matrix(lattice):
     rng = random.Random(f"kernels {lattice.sextic} {len(lattice.edges)}")
     n = lattice.rank
@@ -370,7 +383,11 @@ def test_the_kernels_agree_with_the_gram_matrix(lattice):
         w = tuple(rng.randint(-9, 9) for _ in range(n))
         reference = sum(v[i] * lattice.gram[i][j] * w[j] for i in range(n) for j in range(n))
         assert pair(lattice, v, w) == reference
-        assert reduce_mod2(lattice, v).bits == tuple(x % 2 for x in v)
+        assert norm(lattice, v) == sum(v[i] * lattice.gram[i][j] * v[j] for i in range(n) for j in range(n))
+        assert reduce_mod2(lattice, v) is lattice._residues[tuple(x % 2 for x in v)]
+    for wrong in ((0,) * (n + 1), (1,) * (n + 2)):
+        with pytest.raises(ValueError, match=f"coordinate length mismatch: rank {n}, got {len(wrong)}"):
+            norm(lattice, wrong)
 
 
 @pytest.mark.parametrize(
@@ -389,6 +406,32 @@ def test_a_lattice_with_a_bad_edge_refuses_its_first_pairing(e8, edges, message)
     with pytest.raises(ValueError, match=message):
         pair(bad, v, v)
     assert "_pair_kernel" not in vars(bad)
+
+
+@pytest.mark.parametrize(
+    "scale, levels, message",
+    [
+        (60, ((1.0, 30, ()),), "holds a value that is not an integer"),
+        (60, ((1, 30, ()), (2, 10, ((0, "-3"),))), "holds a value that is not an integer"),
+        (60, ((1, True, ()),), "holds a value that is not an integer"),
+        (60, ((1, 0, ()),), "has a den or K below 1"),
+        (60, ((-1, 30, ()),), "has a den or K below 1"),
+        (60, ((1, 30, ()), (2, 10, ((1, -3),))), "centres on a coordinate not fixed before it"),
+        (60, ((1, 30),), r"is not \(den, K, \(\(j, a\), \.\.\.\)\)"),
+        (0, ((1, 30, ()),), "scale 0 is not a positive integer"),
+        ("60", ((1, 30, ()),), "scale '60' is not a positive integer"),
+    ],
+)
+def test_a_lattice_with_a_bad_level_refuses_its_first_descent(e8, scale, levels, message):
+    for count in (False, True):
+        bad = dataclasses.replace(e8)
+        vars(bad)["_square_completion"] = (scale, levels)
+        with pytest.raises(ValueError, match=message):
+            if count:
+                shell_classes(bad, -2)
+            else:
+                vectors_with_norm_at_least(bad, -2)
+        assert "_shell_kernel" not in vars(bad) and "_count_kernel" not in vars(bad)
 
 
 def test_the_lattice_hash_is_cached_and_equality_stays_field_wise(e8):

@@ -25,7 +25,7 @@ from conelines.mod2 import (
     zero_residue,
 )
 from conelines.translations import coset_representative, shell_classes
-from conftest import TYPE_KEYS, assert_rejected, lattice_for
+from conftest import FAULTED_IDS, TYPE_KEYS, assert_rejected, lattice_for, lattices_and_a_faulted_e8
 
 #: (call, exception type, message) for inputs the public functions refuse.
 REJECTIONS = [
@@ -206,16 +206,22 @@ def test_the_quotient_is_interned_once_per_lattice(key):
     assert zero_residue(lattice) is residues[0]
 
 
-@pytest.mark.parametrize("key", TYPE_KEYS)
-def test_shell_classes_match_a_count_over_fresh_residues(key):
-    lattice = lattice_for(key)
+@pytest.mark.parametrize("lattice", lattices_and_a_faulted_e8(), ids=FAULTED_IDS)
+def test_shell_classes_match_a_count_over_fresh_residues(lattice):
     radical = [Mod2Vector(r.bits, lattice) for r in radical_elements(lattice)]
-    expected = Counter()
-    for w in vectors_with_norm_at_least(lattice, -6):
-        x = Mod2Vector(tuple(c % 2 for c in w), lattice)
-        rep = min(tuple(a ^ b for a, b in zip(x.bits, r.bits)) for r in radical)
-        expected[(norm(lattice, w) // 2) % 2, Mod2Vector(rep, lattice).bits] += 1
-    assert shell_classes(lattice, -6) == expected
+    classes = []
+    for w in vectors_with_norm_at_least(lattice, -10):
+        bits = tuple(c % 2 for c in w)
+        classes.append((norm(lattice, w), min(tuple(a ^ b for a, b in zip(bits, r.bits)) for r in radical)))
+    for floor in (-2, -6, -10):
+        expected = Counter(((n // 2) % 2, rep) for n, rep in classes if n >= floor)
+        assert shell_classes(lattice, floor) == expected, floor
+    assert shell_classes(lattice, 1) == Counter()
+    # A fiber bit taken from the coset's q0 instead of the vector's own norm
+    # is right only where q0 vanishes on the radical; the faulted E8 (A1 + E7)
+    # is not such a lattice, so it catches that shortcut.
+    from_q0 = Counter((q0(Mod2Vector(rep, lattice)), rep) for _, rep in classes)
+    assert (from_q0 == expected) == all(q0(r) == 0 for r in radical)
 
 
 @pytest.mark.parametrize("key", TYPE_KEYS)
