@@ -12,7 +12,7 @@ quadratic refinement; elsewhere both bits should appear for every coset.
 import argparse
 
 from conelines.lattices import SexticType, build_lattice
-from conelines.mod2 import Mod2Vector, all_residues, q0
+from conelines.mod2 import all_residues, q0, reduce_mod2
 from conelines.translations import coset_representative, shell_classes
 
 
@@ -30,7 +30,7 @@ def main() -> int:
     hits = shell_classes(lattice, args.floor)
     print(f"type {sextic.key}: {hits.total()} vectors with self-pairing >= {args.floor}")
     parity_violations = sum(
-        count for (mu, bits), count in hits.items() if mu != q0(Mod2Vector(bits, lattice))
+        count for (mu, bits), count in hits.items() if mu != q0(reduce_mod2(lattice, bits))
     )
 
     reps = {coset_representative(x).bits for x in all_residues(lattice)}

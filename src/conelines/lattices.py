@@ -18,8 +18,10 @@ sums over the edges and the diagonal, the mod-2 reduction as one lookup of
 the parities in the residue table, and the descent (``_descent``) as one
 loop nest, ``for x0 ...: ... for x{n-1} ...:``, whose innermost body
 either keeps the vector or counts it by (fiber bit, parities) without
-building it.  Their source holds only names, operators, and edge indices
-and descent levels checked to be integers; their globals are the residue
+building it.  A lattice checks its edge list once, when it is made, so the
+Gram matrix and every kernel read the same form.  A kernel's source holds
+only names, operators, the checked edge indices and the integers that
+``_square_completion`` derives from them; its globals are the residue
 table, ``isqrt`` and ``range``.
 
 All vectors are plain integer tuples in the fixed basis, so every value in
@@ -29,7 +31,6 @@ this module is hashable and safe to share between threads.
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from collections.abc import Callable, Mapping
 from contextvars import ContextVar
@@ -211,9 +212,11 @@ class GeometricLattice:
     """A vanishing-cycle root lattice in its fixed geometric basis.
 
     ``edges`` lists the adjacent pairs of cycles; the Gram matrix has
-    diagonal -2 and off-diagonal +1 exactly on those pairs.
-    ``oval_indices``/``bridge_indices`` record which basis positions hold
-    oval classes and which hold bridge classes.
+    diagonal -2 and off-diagonal +1 exactly on those pairs.  The list is
+    checked once, here: each edge is a pair of plain ints in range(rank)
+    that joins two distinct positions, and no pair appears twice in either
+    orientation.  ``oval_indices`` records which basis positions hold oval
+    classes; the others (``bridge_indices``) hold bridge classes.
 
     Every table derived from it is computed on first use and kept on the
     instance, so it lives and dies with it: the Gram matrix, the
@@ -227,7 +230,18 @@ class GeometricLattice:
     basis_names: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     oval_indices: tuple[int, ...]
-    bridge_indices: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.basis_names)
+        joined = set()
+        for edge in self.edges:
+            if type(edge) is not tuple or len(edge) != 2 or any(type(i) is not int for i in edge):
+                raise ValueError(f"edge {edge!r} of {self.name} is not a pair of integers")
+            if not all(0 <= i < n for i in edge):
+                raise ValueError(f"edge {edge!r} of {self.name} leaves range({n})")
+            if edge[0] == edge[1] or frozenset(edge) in joined:
+                raise ValueError(f"edge {edge!r} of {self.name} is a loop or a repeat")
+            joined.add(frozenset(edge))
 
     def __hash__(self) -> int:
         return self._hash
@@ -245,6 +259,11 @@ class GeometricLattice:
     def rank(self) -> int:
         return len(self.basis_names)
 
+    @property
+    def bridge_indices(self) -> tuple[int, ...]:
+        """The basis positions that hold bridge classes: all but the ovals'."""
+        return tuple(i for i in range(self.rank) if i not in self.oval_indices)
+
     @cached_property
     def gram(self) -> tuple[Vec, ...]:
         """The full Gram matrix, built once from the edge list."""
@@ -257,7 +276,7 @@ class GeometricLattice:
     @cached_property
     def _pair_kernel(self) -> Callable[[Vec, Vec], int]:
         """v.w as one straight-line expression: each edge's two products, minus twice the diagonal."""
-        edges = " + ".join(f"x{i} * y{j} + x{j} * y{i}" for i, j in self._checked_edges())
+        edges = " + ".join(f"x{i} * y{j} + x{j} * y{i}" for i, j in self.edges)
         diagonal = " + ".join(f"x{i} * y{i}" for i in range(self.rank))
         return _kernel(
             "def kernel(v, w):",
@@ -269,7 +288,7 @@ class GeometricLattice:
     @cached_property
     def _norm_kernel(self) -> Callable[[Vec], int]:
         """v.v as twice the edge products minus twice the squares."""
-        edges = " + ".join(f"x{i} * x{j}" for i, j in self._checked_edges())
+        edges = " + ".join(f"x{i} * x{j}" for i, j in self.edges)
         diagonal = " + ".join(f"x{i} * x{i}" for i in range(self.rank))
         return _kernel(
             "def kernel(v):",
@@ -302,20 +321,6 @@ class GeometricLattice:
         scale, levels = self._square_completion
         leaf = f"sink[({{spent}}) // {2 * scale} & 1, ({_parities(self.rank)})] += 1"
         return _kernel(*_descent(scale, levels, leaf))
-
-    def _checked_edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges as plain integers in range(rank): the only values a kernel's source holds."""
-        n = self.rank
-        checked = []
-        for edge in self.edges:
-            try:
-                i, j = map(operator.index, edge)
-            except (TypeError, ValueError):
-                raise ValueError(f"edge {edge!r} of {self.name} is not a pair of integers") from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge {edge!r} of {self.name} leaves range({n})")
-            checked.append((i, j))
-        return tuple(checked)
 
     @cached_property
     def _residues(self) -> dict[Vec, Mod2Vector]:
@@ -355,16 +360,18 @@ class GeometricLattice:
 
         Completing squares from the last coordinate down writes the
         positive definite form -v.v as sum_i d_i (x_i + sum_{j<i} r_ij x_j)^2
-        with exact rationals d_i > 0 (every lattice here is negative
-        definite).  With den_i the least common denominator of the r_ij,
-        a_ij = den_i r_ij and one global scale S chosen so that every
-        K_i = S d_i / den_i^2 is an integer, this is
+        with exact rationals d_i > 0; the first pivot d_i <= 0 shows that
+        the form is not negative definite and raises ``ValueError``.  With
+        den_i the least common denominator of the r_ij, a_ij = den_i r_ij
+        and one global scale S chosen so that every K_i = S d_i / den_i^2
+        is an integer, this is
 
             S * (-v.v) = sum_i K_i u_i^2,   u_i = den_i x_i + sum_{j<i} a_ij x_j,
 
         with integers throughout.  Returns (S, levels), where levels[i] is
-        (den_i, K_i, ((j, a_ij), ...)) over the nonzero a_ij.  Fractions
-        are used here only, once per lattice.
+        (den_i, K_i, ((j, a_ij), ...)) over the nonzero a_ij, each an
+        ``int``, with 1 <= den_i, 1 <= K_i and 0 <= j < i.  Fractions are
+        used here only, once per lattice.
         """
         from fractions import Fraction
 
@@ -373,6 +380,8 @@ class GeometricLattice:
         rational = [None] * n
         for i in reversed(range(n)):
             d = q[i][i]
+            if d <= 0:
+                raise ValueError(f"the form of {self.name} is not negative definite")
             rational[i] = (d, {j: q[i][j] / d for j in range(i) if q[i][j]})
             for a in range(i):
                 for b in range(i):
@@ -408,7 +417,7 @@ def _parities(rank: int) -> str:
 
 
 def _kernel(*lines: str, **tables: object) -> Callable:
-    """Compile the function ``kernel`` from source that holds only checked integers, names and operators.
+    """Compile the function ``kernel`` from source that holds only integers, names and operators.
 
     Its globals are the named tables, ``isqrt`` and ``range``: no other builtin.
     """
@@ -431,11 +440,10 @@ def _descent(scale: int, levels: tuple, leaf: str) -> tuple[str, ...]:
     names x0 .. x{n-1} hold the vector and ``{spent}`` stands for
     S * (-v.v) = r0 - r_{n-1} + K_{n-1} u_{n-1}^2.
 
-    S and every level are checked first; a value that is not an integer,
-    a scale, den or K below 1, or a centre on a coordinate that is not
-    fixed yet raises ``ValueError`` and nothing is generated.
+    The scale and levels are written into the source as they come, so
+    they must be ``_square_completion``'s: integers it derives from the
+    lattice's checked edge list, a definite form's.
     """
-    levels = _checked_levels(scale, levels)
     lines = ["def kernel(floor, sink):", "    if floor > 0:", "        return", f"    r0 = -floor * {scale}"]
     spent = "0"
     for i, (den, weight, centre) in enumerate(levels):
@@ -450,28 +458,6 @@ def _descent(scale: int, levels: tuple, leaf: str) -> tuple[str, ...]:
         else:
             spent = f"r0 - r{i} + {weight} * ({den} * x{i} + c{i}) ** 2"
     return (*lines, "    " * (len(levels) + 1) + leaf.format(spent=spent))
-
-
-def _checked_levels(scale: int, levels: tuple) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-    """The scale and levels as plain integers: with the edges, the only values a kernel's source holds."""
-    if type(scale) is not int or scale < 1:
-        raise ValueError(f"the descent's scale {scale!r} is not a positive integer")
-    checked = []
-    for i, level in enumerate(levels):
-        try:
-            den, weight, centre = level
-            values = [den, weight, *(value for term in centre for value in term)]
-            centre = tuple((j, a) for j, a in centre)
-        except (TypeError, ValueError):
-            raise ValueError(f"level {i} of the descent, {level!r}, is not (den, K, ((j, a), ...))") from None
-        if any(type(value) is not int for value in values):
-            raise ValueError(f"level {i} of the descent, {level!r}, holds a value that is not an integer")
-        if den < 1 or weight < 1:
-            raise ValueError(f"level {i} of the descent, {level!r}, has a den or K below 1")
-        if not all(0 <= j < i for j, _ in centre):
-            raise ValueError(f"level {i} of the descent, {level!r}, centres on a coordinate not fixed before it")
-        checked.append((den, weight, centre))
-    return tuple(checked)
 
 
 # (basis names, adjacency edges, oval positions, lattice name) per type key.
@@ -531,7 +517,6 @@ _LATTICES: ContextVar[Mapping[str, GeometricLattice]] = ContextVar(
             basis_names=names,
             edges=edges,
             oval_indices=ovals,
-            bridge_indices=tuple(i for i in range(len(names)) if i not in ovals),
         )
         for key, (names, edges, ovals, name) in _GRAPHS.items()
     }),
@@ -597,7 +582,7 @@ def norm(lattice: GeometricLattice, v: Vec) -> int:
     """v.v = 2 sum_{(i, j) edge} v_i v_j - 2 sum_i v_i^2, spelled out by the lattice's norm kernel."""
     n = lattice.rank
     if len(v) != n:
-        raise ValueError(f"coordinate length mismatch: rank {n}, got {len(v)} and {len(v)}")
+        raise ValueError(f"coordinate length mismatch: rank {n}, got {len(v)}")
     return lattice._norm_kernel(v)
 
 

@@ -62,7 +62,7 @@ from .mapping_class import (
     translation_analysis,
     translation_class,
 )
-from .mod2 import Mod2Vector, all_residues, q0, reduce_mod2, strata_profile
+from .mod2 import all_residues, q0, reduce_mod2, strata_profile
 from .translations import (
     H1Mod2Class,
     conic_count,
@@ -607,7 +607,7 @@ def _criterion_9(rng: random.Random) -> Iterator[CheckResult]:
     e8 = build_lattice(SexticType(4, 0))
     hits = shell_classes(e8, -8)
     yield _eq("9.shell-size 4|0", hits.total(), 26641)
-    parity_ok = all(mu == q0(Mod2Vector(bits, e8)) for mu, bits in hits)
+    parity_ok = all(mu == q0(reduce_mod2(e8, bits)) for mu, bits in hits)
     yield _true("9.parity-forced 4|0", parity_ok)
     wanted = {(q0(v), v.bits) for v in all_residues(e8)}
     yield _eq("9.classes-attained 4|0", len(hits), 256)

@@ -1,11 +1,14 @@
 """Lattice construction, root enumeration, and the homology frame."""
 
 import dataclasses
+import io
 import itertools
+import keyword
 import random
 import re
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from conelines.cli import gram_fault
 from conelines.lattices import (
+    _descent,
     ALL_SEXTIC_TYPES,
     SexticType,
     SurfaceType,
@@ -398,40 +402,79 @@ def test_the_kernels_agree_with_the_gram_matrix(lattice):
         (((0, 1, 2),), "is not a pair of integers"),
         (((0, 1), (1, 8)), r"leaves range\(8\)"),
         (((0, 1), (-1, 2)), r"leaves range\(8\)"),
+        (((0, 1), (0, 0)), "is a loop or a repeat"),
+        (((0, 1), (1, 2), (0, 1)), "is a loop or a repeat"),
+        (((0, 1), (1, 2), (1, 0)), "is a loop or a repeat"),
+        (((0, 1), (True, 2)), "is not a pair of integers"),
     ],
 )
 def test_a_lattice_with_a_bad_edge_refuses_its_first_pairing(e8, edges, message):
-    bad = dataclasses.replace(e8, edges=edges)
-    v = (1,) * 8
+    # The edges are checked when the lattice is made, before any pairing.
     with pytest.raises(ValueError, match=message):
-        pair(bad, v, v)
-    assert "_pair_kernel" not in vars(bad)
+        dataclasses.replace(e8, edges=edges)
 
 
 @pytest.mark.parametrize(
-    "scale, levels, message",
-    [
-        (60, ((1.0, 30, ()),), "holds a value that is not an integer"),
-        (60, ((1, 30, ()), (2, 10, ((0, "-3"),))), "holds a value that is not an integer"),
-        (60, ((1, True, ()),), "holds a value that is not an integer"),
-        (60, ((1, 0, ()),), "has a den or K below 1"),
-        (60, ((-1, 30, ()),), "has a den or K below 1"),
-        (60, ((1, 30, ()), (2, 10, ((1, -3),))), "centres on a coordinate not fixed before it"),
-        (60, ((1, 30),), r"is not \(den, K, \(\(j, a\), \.\.\.\)\)"),
-        (0, ((1, 30, ()),), "scale 0 is not a positive integer"),
-        ("60", ((1, 30, ()),), "scale '60' is not a positive integer"),
-    ],
+    "edges",
+    [((0, 1), (1, 2), (0, 2)), tuple(itertools.combinations(range(4), 2))],
+    ids=["triangle", "K4"],
 )
-def test_a_lattice_with_a_bad_level_refuses_its_first_descent(e8, scale, levels, message):
-    for count in (False, True):
-        bad = dataclasses.replace(e8)
-        vars(bad)["_square_completion"] = (scale, levels)
-        with pytest.raises(ValueError, match=message):
-            if count:
-                shell_classes(bad, -2)
-            else:
-                vectors_with_norm_at_least(bad, -2)
-        assert "_shell_kernel" not in vars(bad) and "_count_kernel" not in vars(bad)
+def test_a_graph_that_is_not_negative_definite_refuses_its_first_descent(edges):
+    bad = dataclasses.replace(lattice_for("1|1"), edges=edges)
+    for run in (vectors_with_norm_at_least, shell_classes):
+        with pytest.raises(ValueError, match="the form of D4 is not negative definite"):
+            run(bad, -2)
+    assert not {name for name in vars(bad) if name.endswith("_kernel")}
+
+
+@st.composite
+def edge_lists(draw):
+    """A rank of at most 5 and distinct pairs of its indices, at times with one more
+    pair, which may repeat one, be a loop or leave range(rank)."""
+    rank = draw(st.integers(0, 5))
+    pairs = list(itertools.permutations(range(rank), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=rank + 1, unique_by=frozenset)) if pairs else []
+    if draw(st.booleans()):
+        index = st.integers(-1, rank)
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.tuples(index, index)))
+    return rank, tuple(edges)
+
+
+@given(edge_lists())
+@settings(max_examples=60, deadline=None)
+def test_a_random_edge_list_is_refused_or_read_alike_by_the_gram_matrix_and_the_kernels(drawn):
+    rank, edges = drawn
+    try:
+        lattice = dataclasses.replace(lattice_for("0|0"), basis_names=("B",) * rank, edges=edges)
+    except ValueError:
+        return
+    g = lattice.gram
+    basis = [lattice.basis_vector(i) for i in range(rank)]
+    assert [[pair(lattice, v, w) for w in basis] for v in basis] == [list(row) for row in g]
+    # A simply laced form of rank <= 5 is negative definite exactly when it
+    # is a sum of A_n and D_n; then its roots have coordinates |x_i| <= 2.
+    # Otherwise it holds an induced cycle or star K_{1,4}, an affine graph
+    # whose null vector lies in the same box.  So the box decides definiteness and lists the -2 shell.
+    box = list(itertools.product(range(-2, 3), repeat=rank))
+    norms = [sum(x * sum(a * y for a, y in zip(row, v)) for x, row in zip(v, g)) for v in box]
+    if all(n < 0 for v, n in zip(box, norms) if any(v)):
+        assert vectors_with_norm_at_least(lattice, -2) == tuple(v for v, n in zip(box, norms) if n >= -2)
+    else:
+        with pytest.raises(ValueError, match="not negative definite"):
+            vectors_with_norm_at_least(lattice, -2)
+
+
+@EVERY_LATTICE
+def test_a_descent_source_holds_only_integer_literals_and_known_names(lattice):
+    # The descent writes the scale and levels into its source unchecked, so
+    # every literal there must be a decimal integer and every name its own.
+    source = "\n".join(_descent(*lattice._square_completion, "sink(0)"))
+    known = re.compile(r"kernel|floor|sink|isqrt|range|t|u|[xcr][0-9]+")
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NUMBER:
+            assert re.fullmatch(r"0|[1-9][0-9]*", token.string), token
+        elif token.type == tokenize.NAME:
+            assert known.fullmatch(token.string) or keyword.iskeyword(token.string), token
 
 
 def test_the_lattice_hash_is_cached_and_equality_stays_field_wise(e8):
