@@ -2,12 +2,16 @@
 
 Each of the eleven topological types of nonsingular real sextic curves on
 the quadric cone carries a negative definite root lattice spanned by
-vanishing cycles of two kinds, oval classes and bridge classes.  This
-module builds those lattices in their fixed geometric bases, enumerates
-their norm shells with one integer Fincke-Pohst descent (the root system
-is the -2 shell), and evaluates the middle homology pairing of the real
-rational elliptic surface obtained by blowing up the base point of the
-anticanonical pencil of the degree-one del Pezzo double cover.
+vanishing cycles of two kinds, oval classes and bridge classes.  One
+table, ``_GRAPHS``, describes them: per type key, in the published order,
+the basis names, the Dynkin edges and the lattice name.  The list of
+types, the rule for which types exist and the oval positions (the classes
+named ``O1`` ...) are all read off it.  This module builds those lattices
+in their fixed geometric bases, enumerates their norm shells with one
+integer Fincke-Pohst descent (the root system is the -2 shell), and
+evaluates the middle homology pairing of the real rational elliptic
+surface obtained by blowing up the base point of the anticanonical pencil
+of the degree-one del Pezzo double cover.
 
 The descent completes squares from the last coordinate down, so it fixes
 the first coordinate first and emits each shell in lexicographic order.
@@ -18,11 +22,11 @@ sums over the edges and the diagonal, the mod-2 reduction as one lookup of
 the parities in the residue table, and the descent (``_descent``) as one
 loop nest, ``for x0 ...: ... for x{n-1} ...:``, whose innermost body
 either keeps the vector or counts it by (fiber bit, parities) without
-building it.  A lattice checks its edge list once, when it is made, so the
-Gram matrix and every kernel read the same form.  A kernel's source holds
-only names, operators, the checked edge indices and the integers that
-``_square_completion`` derives from them; its globals are the residue
-table, ``isqrt`` and ``range``.
+building it.  A lattice checks its names and edge list once, when it is
+made, so the Gram matrix and every kernel read the same form.  A kernel's
+source holds only names, operators, the checked edge indices and the
+integers that ``_square_completion`` derives from them; its globals are
+the residue table, ``isqrt`` and ``range``.
 
 All vectors are plain integer tuples in the fixed basis, so every value in
 this module is hashable and safe to share between threads.
@@ -76,6 +80,32 @@ class UnsupportedTypeError(ValueError):
 # ---------------------------------------------------------------------------
 # topological type tags
 
+#: (basis names, adjacency edges, lattice name) per type key, in the published
+#: order: the one list of the types.  A basis class named ``O<i>`` is the i-th
+#: oval; every other class is a bridge.  A ``0|q`` type keeps 4 - q pairwise
+#: orthogonal bridge classes only.
+_GRAPHS: dict[str, tuple[tuple[str, ...], tuple[tuple[int, int], ...], str]] = {
+    "4|0": (
+        ("O1", "B12", "O2", "B23", "O3", "B34", "O4", "B3"),
+        ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)),
+        "E8",
+    ),
+    "3|0": (
+        ("B1", "O1", "B12", "O2", "B23", "O3", "B2"),
+        ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 6)),
+        "E7",
+    ),
+    "2|0": (("B1", "O1", "B12", "O2", "B2", "B2'"), ((0, 1), (1, 2), (2, 3), (3, 4), (3, 5)), "D6"),
+    "1|0": (("B1", "O1", "B1'", "B1''", "B11"), ((0, 1), (1, 2), (1, 3)), "D4+A1"),
+    "0|0": (("B1", "B2", "B3", "B4"), (), "4A1"),
+    "1|1": (("O1", "B1", "B1'", "B1''"), ((0, 1), (0, 2), (0, 3)), "D4"),
+    "|||": (("B0", "B1", "B2", "B3"), ((0, 1), (0, 2), (0, 3)), "D4"),
+    "0|1": (("B1", "B2", "B3"), (), "3A1"),
+    "0|2": (("B1", "B2"), (), "2A1"),
+    "0|3": (("B1",), (), "1A1"),
+    "0|4": ((), (), "0"),
+}
+
 
 @dataclass(frozen=True, order=True)
 class SexticType:
@@ -88,8 +118,7 @@ class SexticType:
     locus consists of three non-contractible components and carries no
     ovals at all.
 
-    Written out, the eleven types are ``4|0``, ``3|0``, ``2|0``, ``1|0``,
-    ``0|0``, ``1|1``, ``|||`` and ``0|1`` ... ``0|4``.
+    The eleven types, in their published order, are the keys of ``_GRAPHS``.
     """
 
     pos_ovals: int
@@ -97,13 +126,12 @@ class SexticType:
     bands: bool = False
 
     def __post_init__(self) -> None:
-        if self.bands:
-            if self.pos_ovals or self.neg_ovals:
-                raise ValueError("the band type carries no ovals")
-            return
         p, q = self.pos_ovals, self.neg_ovals
-        ok = (q == 0 and 0 <= p <= 4) or (p == 0 and 0 <= q <= 4) or (p == q == 1)
-        if not ok:
+        if type(p) is not int or type(q) is not int or type(self.bands) is not bool:
+            raise ValueError(f"a sextic type takes two int counts and a bool: {self!r}")
+        if self.bands and (p or q):
+            raise ValueError("the band type carries no ovals")
+        if self.key not in _GRAPHS:
             raise ValueError(f"no such sextic type: {p}|{q}")
 
     @property
@@ -142,10 +170,7 @@ class SexticType:
         return SurfaceType(self.pos_ovals, self.neg_ovals, self.bands)
 
 
-ALL_SEXTIC_TYPES: tuple[SexticType, ...] = tuple(
-    SexticType.from_key(k)
-    for k in ("4|0", "3|0", "2|0", "1|0", "0|0", "1|1", "|||", "0|1", "0|2", "0|3", "0|4")
-)
+ALL_SEXTIC_TYPES: tuple[SexticType, ...] = tuple(SexticType.from_key(key) for key in _GRAPHS)
 
 
 @dataclass(frozen=True, order=True)
@@ -211,12 +236,16 @@ ALL_SURFACE_TYPES: tuple[SurfaceType, ...] = tuple(s.surface() for s in ALL_SEXT
 class GeometricLattice:
     """A vanishing-cycle root lattice in its fixed geometric basis.
 
+    Four fields: ``name``, ``sextic``, ``basis_names`` and ``edges``.
     ``edges`` lists the adjacent pairs of cycles; the Gram matrix has
-    diagonal -2 and off-diagonal +1 exactly on those pairs.  The list is
-    checked once, here: each edge is a pair of plain ints in range(rank)
-    that joins two distinct positions, and no pair appears twice in either
-    orientation.  ``oval_indices`` records which basis positions hold oval
-    classes; the others (``bridge_indices``) hold bridge classes.
+    diagonal -2 and off-diagonal +1 exactly on those pairs.  The positions
+    whose names start with ``O`` hold oval classes (``oval_indices``), the
+    others bridge classes (``bridge_indices``).  The fields are checked
+    once, here: the names and edges are tuples, the ovals are named
+    ``O1`` ... ``O<p>`` in basis order for the sextic type's p =
+    ``pos_ovals``, each edge is a pair of plain ints in range(rank) that
+    joins two distinct positions, and no pair appears twice in either
+    orientation.
 
     Every table derived from it is computed on first use and kept on the
     instance, so it lives and dies with it: the Gram matrix, the
@@ -229,10 +258,15 @@ class GeometricLattice:
     sextic: SexticType
     basis_names: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
-    oval_indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.basis_names)
+        names, p = self.basis_names, self.sextic.pos_ovals
+        if type(names) is not tuple or type(self.edges) is not tuple or any(type(x) is not str for x in names):
+            raise ValueError(f"{self.name} needs a tuple of string names and a tuple of edges")
+        ovals, needed = tuple(names[i] for i in self.oval_indices), tuple(f"O{k}" for k in range(1, p + 1))
+        if ovals != needed:
+            raise ValueError(f"the ovals of {self.name} are named {ovals}, but {self.sextic} needs {needed}")
+        n = len(names)
         joined = set()
         for edge in self.edges:
             if type(edge) is not tuple or len(edge) != 2 or any(type(i) is not int for i in edge):
@@ -258,6 +292,11 @@ class GeometricLattice:
     @cached_property
     def rank(self) -> int:
         return len(self.basis_names)
+
+    @cached_property
+    def oval_indices(self) -> tuple[int, ...]:
+        """The basis positions that hold oval classes: those named ``O...``."""
+        return tuple(i for i, x in enumerate(self.basis_names) if x.startswith("O"))
 
     @property
     def bridge_indices(self) -> tuple[int, ...]:
@@ -460,52 +499,6 @@ def _descent(scale: int, levels: tuple, leaf: str) -> tuple[str, ...]:
     return (*lines, "    " * (len(levels) + 1) + leaf.format(spent=spent))
 
 
-# (basis names, adjacency edges, oval positions, lattice name) per type key.
-_GRAPHS: dict[str, tuple[tuple[str, ...], tuple[tuple[int, int], ...], tuple[int, ...], str]] = {
-    "4|0": (
-        ("O1", "B12", "O2", "B23", "O3", "B34", "O4", "B3"),
-        ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)),
-        (0, 2, 4, 6),
-        "E8",
-    ),
-    "3|0": (
-        ("B1", "O1", "B12", "O2", "B23", "O3", "B2"),
-        ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 6)),
-        (1, 3, 5),
-        "E7",
-    ),
-    "2|0": (
-        ("B1", "O1", "B12", "O2", "B2", "B2'"),
-        ((0, 1), (1, 2), (2, 3), (3, 4), (3, 5)),
-        (1, 3),
-        "D6",
-    ),
-    "1|0": (
-        ("B1", "O1", "B1'", "B1''", "B11"),
-        ((0, 1), (1, 2), (1, 3)),
-        (1,),
-        "D4+A1",
-    ),
-    "1|1": (
-        ("O1", "B1", "B1'", "B1''"),
-        ((0, 1), (0, 2), (0, 3)),
-        (0,),
-        "D4",
-    ),
-    "|||": (
-        ("B0", "B1", "B2", "B3"),
-        ((0, 1), (0, 2), (0, 3)),
-        (),
-        "D4",
-    ),
-    # 0|q: 4 - q pairwise orthogonal bridge classes only.
-    **{
-        f"0|{q}": (tuple(f"B{i + 1}" for i in range(4 - q)), (), (), f"{4 - q}A1" if q < 4 else "0")
-        for q in range(5)
-    },
-}
-
-
 #: One lattice per type key, built once from ``_GRAPHS``.  The default
 #: table is read-only; a context that needs other lattices sets its own.
 _LATTICES: ContextVar[Mapping[str, GeometricLattice]] = ContextVar(
@@ -516,9 +509,8 @@ _LATTICES: ContextVar[Mapping[str, GeometricLattice]] = ContextVar(
             sextic=SexticType.from_key(key),
             basis_names=names,
             edges=edges,
-            oval_indices=ovals,
         )
-        for key, (names, edges, ovals, name) in _GRAPHS.items()
+        for key, (names, edges, name) in _GRAPHS.items()
     }),
 )
 
@@ -604,8 +596,15 @@ def vectors_with_norm_at_least(lattice: GeometricLattice, floor: int) -> tuple[V
     vectors come out in lexicographic order and need no sort.
     """
     out: list[Vec] = []
-    lattice._shell_kernel(floor, out.append)
+    lattice._shell_kernel(_checked_floor(floor), out.append)
     return tuple(out)
+
+
+def _checked_floor(floor: int) -> int:
+    """The floor of a shell, refused with ``ValueError`` unless it is a plain int."""
+    if type(floor) is not int:
+        raise ValueError(f"the floor of a shell must be an int, not {floor!r}")
+    return floor
 
 
 def enumerate_roots(lattice: GeometricLattice) -> tuple[Vec, ...]:

@@ -22,6 +22,7 @@ from .lattices import (
     SurfaceType,
     UnsupportedTypeError,
     Vec,
+    _checked_floor,
     build_lattice,
     norm,
     pair,
@@ -60,7 +61,7 @@ def shell_classes(lattice: GeometricLattice, floor: int) -> Counter[tuple[int, B
     and the parities; each residue met is then mapped once to its coset.
     """
     by_parities: Counter[tuple[int, Bits]] = Counter()
-    lattice._count_kernel(floor, by_parities)
+    lattice._count_kernel(_checked_floor(floor), by_parities)
     hits: Counter[tuple[int, Bits]] = Counter()
     for (mu, bits), count in by_parities.items():
         hits[mu, coset_representative(lattice._residues[bits]).bits] += count

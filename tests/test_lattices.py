@@ -39,7 +39,7 @@ from conelines.lattices import (
 )
 from conelines.mod2 import reduce_mod2
 from conelines.translations import shell_classes
-from conftest import FAULTED_IDS, TYPE_KEYS, lattice_for, lattices_and_a_faulted_e8, src_env
+from conftest import FAULTED_IDS, TYPE_KEYS, assert_rejected, lattice_for, lattices_and_a_faulted_e8, src_env
 
 
 def _root_count(name: str) -> int:
@@ -296,6 +296,29 @@ def test_unknown_keys_are_rejected():
             SurfaceType(handles, spheres, double_klein)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(True, 0), (1.0, 0), ("4", "0"), (0, 0, "yes")],
+    ids=["bool-count", "float-count", "string-counts", "string-bands"],
+)
+def test_a_sextic_type_takes_two_int_counts_and_a_bool(args):
+    with pytest.raises(ValueError, match="a sextic type takes two int counts and a bool"):
+        SexticType(*args)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SexticType(9, 9), "no such sextic type: 9|9"),
+        (lambda: SexticType.from_key("1|"), "cannot parse sextic type '1|'"),
+        (lambda: SexticType(1, 0, True), "the band type carries no ovals"),
+    ],
+    ids=["9|9", "1|", "band-with-ovals"],
+)
+def test_an_unknown_sextic_type_keeps_its_message(call, message):
+    assert_rejected(call, ValueError, message)
+
+
 def test_section_classes_self_pair_to_minus_one(e8):
     fiber = fiber_class_x(e8)
     base = base_line_class_x(e8)
@@ -412,6 +435,51 @@ def test_a_lattice_with_a_bad_edge_refuses_its_first_pairing(e8, edges, message)
     # The edges are checked when the lattice is made, before any pairing.
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(e8, edges=edges)
+
+
+#: The oval positions each lattice stored as a field before they were read
+#: off its basis names; every other lattice has none.
+_OVAL_POSITIONS = {"4|0": (0, 2, 4, 6), "3|0": (1, 3, 5), "2|0": (1, 3), "1|0": (1,), "1|1": (0,)}
+
+
+@pytest.mark.parametrize("lattice", lattices_and_a_faulted_e8(), ids=FAULTED_IDS)
+def test_the_oval_positions_are_read_off_the_basis_names(lattice):
+    assert [field.name for field in dataclasses.fields(lattice)] == ["name", "sextic", "basis_names", "edges"]
+    assert lattice.oval_indices == _OVAL_POSITIONS.get(lattice.sextic.key, ())
+    # the k-th oval position is named Ok, so oval_number reads the name's number
+    assert [lattice.basis_names[i] for i in lattice.oval_indices] == [
+        f"O{lattice.oval_number(i)}" for i in lattice.oval_indices
+    ]
+
+
+def test_a_lattice_whose_containers_or_oval_names_are_wrong_is_refused_when_made(e8):
+    assert_rejected(
+        lambda: dataclasses.replace(e8, edges=list(e8.edges)),
+        ValueError,
+        "E8 needs a tuple of string names and a tuple of edges",
+    )
+    # E8's basis is O1 B12 O2 B23 O3 B34 O4 B3: rename its ovals at positions 0, 2, 4, 6.
+    for ovals, named in (
+        (("O1", "O2", "O3", "B4"), "('O1', 'O2', 'O3')"),
+        (("O2", "O1", "O3", "O4"), "('O2', 'O1', 'O3', 'O4')"),
+        (("O1", "O2", "O3", "O3"), "('O1', 'O2', 'O3', 'O3')"),
+    ):
+        names = (ovals[0], "B12", ovals[1], "B23", ovals[2], "B34", ovals[3], "B3")
+        assert_rejected(
+            lambda: dataclasses.replace(e8, basis_names=names),
+            ValueError,
+            f"the ovals of E8 are named {named}, but 4|0 needs ('O1', 'O2', 'O3', 'O4')",
+        )
+    # the oval positions are no field, so they cannot disagree with the names
+    with pytest.raises(TypeError):
+        dataclasses.replace(e8, oval_indices=(0, 2, 4, 9))
+
+
+@pytest.mark.parametrize("floor", [-2.0, "x", True, None], ids=repr)
+def test_a_shell_floor_that_is_not_an_int_is_refused(e8, floor):
+    for run in (vectors_with_norm_at_least, shell_classes):
+        with pytest.raises(ValueError, match="the floor of a shell must be an int"):
+            run(e8, floor)
 
 
 @pytest.mark.parametrize(
