@@ -315,7 +315,7 @@ def test_a_sextic_type_takes_two_int_counts_and_a_bool(args):
     ],
     ids=["9|9", "1|", "band-with-ovals"],
 )
-def test_an_unknown_sextic_type_keeps_its_message(call, message):
+def test_a_refused_sextic_type_keeps_its_message(call, message):
     assert_rejected(call, ValueError, message)
 
 
