@@ -241,7 +241,8 @@ class GeometricLattice:
     diagonal -2 and off-diagonal +1 exactly on those pairs.  The positions
     whose names start with ``O`` hold oval classes (``oval_indices``), the
     others bridge classes (``bridge_indices``).  The fields are checked
-    once, here: the names and edges are tuples, the ovals are named
+    once, here: the name is a ``str`` and the sextic a ``SexticType``,
+    the names and edges are tuples, the ovals are named
     ``O1`` ... ``O<p>`` in basis order for the sextic type's p =
     ``pos_ovals``, each edge is a pair of plain ints in range(rank) that
     joins two distinct positions, and no pair appears twice in either
@@ -260,6 +261,8 @@ class GeometricLattice:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if type(self.name) is not str or type(self.sextic) is not SexticType:
+            raise ValueError(f"a lattice takes a str name and a SexticType, not {self.name!r} and {self.sextic!r}")
         names, p = self.basis_names, self.sextic.pos_ovals
         if type(names) is not tuple or type(self.edges) is not tuple or any(type(x) is not str for x in names):
             raise ValueError(f"{self.name} needs a tuple of string names and a tuple of edges")
@@ -441,8 +444,10 @@ class GeometricLattice:
         return unit_vec(self.rank, i)
 
     def oval_number(self, basis_index: int) -> int:
-        """1-based oval number of an oval basis position."""
-        return self.oval_indices.index(basis_index) + 1
+        """1-based oval number of an oval basis position, read off its name ``O<k>``."""
+        if basis_index not in self.oval_indices:
+            raise ValueError(f"position {basis_index!r} of {self.name} holds no oval")
+        return int(self.basis_names[basis_index][1:])
 
 
 def _coordinates(name: str, rank: int) -> str:

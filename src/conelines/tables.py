@@ -48,18 +48,9 @@ class Report:
 
 def tritangent_table() -> Report:
     """Count grid of positive tritangents by type and sextic type."""
-    censuses = {
-        key: type_census(SexticType.from_key(key)) for key in CENSUS_COLUMN_ORDER
-    }
-    rows = []
-    for ttype in TritangentType:
-        rows.append(
-            (ttype.value,)
-            + tuple(censuses[key].get(ttype, 0) for key in CENSUS_COLUMN_ORDER)
-        )
-    rows.append(
-        ("total",) + tuple(sum(censuses[key].values()) for key in CENSUS_COLUMN_ORDER)
-    )
+    censuses = [type_census(sextic) for sextic in ALL_SEXTIC_TYPES]
+    rows = [(ttype.value, *(census[ttype] for census in censuses)) for ttype in TritangentType]
+    rows.append(("total", *(sum(census.values()) for census in censuses)))
     return Report(
         title="positive tritangent counts by type",
         columns=("tritangent type",) + CENSUS_COLUMN_ORDER,

@@ -88,10 +88,12 @@ class H1Mod2Class:
 
 
 def mw_act_h1_mod2(lattice: GeometricLattice, w: Vec, x: H1Mod2Class) -> H1Mod2Class:
-    """Mod-2 shadow of the transvection, on fiber/vanishing-mod-radical/section."""
+    """Mod-2 shadow of the transvection, on fiber/vanishing-mod-radical/section.
+
+    The fiber bit moves by k = w^2/2 mod 2, which is ``q0`` of w's residue.
+    """
     wbar = reduce_mod2(lattice, w)
-    k = (norm(lattice, w) // 2) % 2
-    mu = (x.mu + mod2_pair(x.v_part, wbar) + k * x.nu) % 2
+    mu = (x.mu + mod2_pair(x.v_part, wbar) + q0(wbar) * x.nu) % 2
     v = x.v_part + wbar if x.nu else x.v_part
     return H1Mod2Class(mu, v, x.nu)
 

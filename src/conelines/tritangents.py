@@ -14,7 +14,7 @@ the remaining tangency point.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .lattices import (
@@ -169,8 +169,7 @@ def classify_root(lattice: GeometricLattice, e: Vec) -> Tritangent:
         ttype = TritangentType.T0_STAR
     else:
         ttype = TritangentType.T0
-    tri = Tritangent(pair_, s_in, s_tan, ttype, None)
-    return replace(tri, code=_code(sx, tri))
+    return Tritangent(pair_, s_in, s_tan, ttype, _code(sx, ttype, s_in, s_tan))
 
 
 def _bracket_arc(p: int, s_in: frozenset[int], s_tan: frozenset[int]) -> tuple[int, int]:
@@ -187,24 +186,26 @@ def _bracket_arc(p: int, s_in: frozenset[int], s_tan: frozenset[int]) -> tuple[i
     )
 
 
-def _code(sextic: SexticType, tri: Tritangent) -> Code:
+def _code(
+    sextic: SexticType, ttype: TritangentType, s_in: frozenset[int], s_tan: frozenset[int]
+) -> Code:
     p = sextic.pos_ovals
-    if tri.ttype is TritangentType.T0_STAR:
-        symbols = tuple(CUP if i in tri.s_in else OVER for i in range(1, p + 1))
-    elif sextic.pos_ovals == 1 and sextic.neg_ovals == 1 and tri.ttype is TritangentType.T0:
+    if ttype is TritangentType.T0_STAR:
+        symbols = tuple(CUP if i in s_in else OVER for i in range(1, p + 1))
+    elif sextic.pos_ovals == 1 and sextic.neg_ovals == 1 and ttype is TritangentType.T0:
         # On the mixed type the three plain tritangents all pass over the
         # oval, regardless of the side recorded in s_in.
         symbols = (OVER,)
     else:
         symbols = tuple(
-            (UNDER_TAN if i in tri.s_in else OVER_TAN)
-            if i in tri.s_tan
-            else (UNDER if i in tri.s_in else OVER)
+            (UNDER_TAN if i in s_in else OVER_TAN)
+            if i in s_tan
+            else (UNDER if i in s_in else OVER)
             for i in range(1, p + 1)
         )
     bracket = None
-    if tri.ttype is TritangentType.T2 and p >= 3:
-        bracket = _bracket_arc(p, tri.s_in, tri.s_tan)
+    if ttype is TritangentType.T2 and p >= 3:
+        bracket = _bracket_arc(p, s_in, s_tan)
     return Code(symbols, bracket, None)
 
 

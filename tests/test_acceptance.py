@@ -15,6 +15,7 @@ import pytest
 
 from conelines import cli, verify
 from conelines.lattices import GeometricLattice
+from conelines.mod2 import q0
 from conftest import src_env
 
 #: sha256 of the markdown reports of ``verify`` and ``verify --fault gram``
@@ -118,6 +119,19 @@ def test_each_family_draws_a_pinned_share_of_its_rng(families, number):
     rows, after = _family(families, number)
     assert rows and all(r.passed for r in rows)
     assert after == RNG_AFTER_FAMILY[number]
+
+
+def test_criterion_09_checks_d6_against_the_librarys_realizability_rule(monkeypatch):
+    """A rule that forces the fiber bit on every type is caught on D6, whose
+    radical carries odd q0 values, so its fiber bit is free."""
+    rows = {r.name: r.passed for r in verify.run_criterion(9)}
+    assert rows["9.classes-attained-set 2|0"]
+    monkeypatch.setattr(verify, "realizable_mod2", lambda surface, x: x.mu == q0(x.v_part))
+    forced = {r.name: r.passed for r in verify.run_criterion(9)}
+    assert "9.aborted" not in forced
+    assert {name for name, passed in forced.items() if not passed} == {"9.classes-attained-set 2|0"}
+    monkeypatch.undo()
+    assert {r.name: r.passed for r in verify.run_criterion(9)} == rows
 
 
 def _faulted_e8s() -> list[GeometricLattice]:

@@ -473,6 +473,22 @@ def test_a_lattice_whose_containers_or_oval_names_are_wrong_is_refused_when_made
     # the oval positions are no field, so they cannot disagree with the names
     with pytest.raises(TypeError):
         dataclasses.replace(e8, oval_indices=(0, 2, 4, 9))
+    # the type and the name are checked before the type's oval count is read
+    assert_rejected(
+        lambda: dataclasses.replace(e8, sextic="4|0"),
+        ValueError,
+        "a lattice takes a str name and a SexticType, not 'E8' and '4|0'",
+    )
+    assert_rejected(
+        lambda: dataclasses.replace(e8, name=8),
+        ValueError,
+        "a lattice takes a str name and a SexticType, not 8 and SexticType(pos_ovals=4, neg_ovals=0, bands=False)",
+    )
+
+
+@pytest.mark.parametrize("position", [1, 8, -1])
+def test_oval_number_refuses_a_bridge_or_a_position_out_of_range(e8, position):
+    assert_rejected(lambda: e8.oval_number(position), ValueError, f"position {position} of E8 holds no oval")
 
 
 @pytest.mark.parametrize("floor", [-2.0, "x", True, None], ids=repr)

@@ -1,6 +1,7 @@
 """The unipotent action on homology and its mod-2 shadow."""
 
 import hashlib
+import re
 import runpy
 import subprocess
 import sys
@@ -29,8 +30,9 @@ from conelines.translations import (
     mw_act_h1_mod2,
     mw_act_h2,
     realizable_mod2,
+    shell_classes,
 )
-from conftest import TYPE_KEYS, assert_rejected, lattice_for, src_env
+from conftest import FAULTED_IDS, TYPE_KEYS, assert_rejected, lattice_for, lattices_and_a_faulted_e8, src_env
 
 ACT_KEYS = ("4|0", "3|0", "2|0", "1|1", "0|2")
 
@@ -240,3 +242,73 @@ def test_scan_realizability_output_is_pinned_for_every_type(monkeypatch, capsys)
     assert len(out.splitlines()) == 386
     digest = "54ce0d90476cf837f9843a35124a8b0671e5016eba23fc86b3c9a1f03adbf03b"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Theta series of the negated lattices, as integer coefficient lists in
+# t = q^(1/4) up to t^_TOP, so that theta_2's quarter powers stay integral:
+# the coefficient of t^(4m) counts the vectors v with -v.v = m.
+_THETA_FLOOR = -20
+_TOP = -4 * _THETA_FLOOR
+
+
+def _sum_over_z(exponent, sign=lambda x: 1) -> list[int]:
+    """sum over integers x of sign(x) t^exponent(x), truncated at t^_TOP."""
+    series = [0] * (_TOP + 1)
+    for x in range(-_TOP, _TOP + 1):
+        if exponent(x) <= _TOP:
+            series[exponent(x)] += sign(x)
+    return series
+
+
+def _mul(*factors: list[int]) -> list[int]:
+    product = [1] + [0] * _TOP
+    for factor in factors:
+        product = [sum(product[i] * factor[k - i] for i in range(k + 1)) for k in range(_TOP + 1)]
+    return product
+
+
+def _add(*terms: list[int]) -> list[int]:
+    return [sum(column) for column in zip(*terms)]
+
+
+_THETA_2 = _sum_over_z(lambda x: (2 * x + 1) ** 2)  # sum q^((x + 1/2)^2)
+_THETA_3 = _sum_over_z(lambda x: 4 * x * x)  # sum q^(x^2)
+_THETA_4 = _sum_over_z(lambda x: 4 * x * x, lambda x: 1 - 2 * (x % 2))  # (-1)^x; (-1) ** -1 is a float
+_THETA_2_AT_2Z = _sum_over_z(lambda x: 2 * (2 * x + 1) ** 2)
+_THETA_3_AT_2Z = _sum_over_z(lambda x: 8 * x * x)
+
+
+def _theta(kind: str, n: int) -> list[int]:
+    """The theta series of A_1, D_n, E_7 or E_8 (Conway and Sloane, SPLAG ch. 4)."""
+    if (kind, n) == ("A", 1):
+        return _THETA_3_AT_2Z
+    if kind == "D":
+        return [(a + b) // 2 for a, b in zip(_mul(*[_THETA_3] * n), _mul(*[_THETA_4] * n))]
+    if (kind, n) == ("E", 7):
+        seven = _mul(*[_THETA_3_AT_2Z] * 3, *[_THETA_2_AT_2Z] * 4)
+        return _add(_mul(*[_THETA_3_AT_2Z] * 7), *[seven] * 7)
+    assert (kind, n) == ("E", 8)
+    return [s // 2 for s in _add(*(_mul(*[theta] * 8) for theta in (_THETA_2, _THETA_3, _THETA_4)))]
+
+
+def _theta_of_system(system: str) -> list[int]:
+    """A direct sum's theta series is the product of its summands' ("4A1", "D4+A1", "0")."""
+    factors = []
+    for part in system.split("+") if system != "0" else ():
+        times, kind, n = re.fullmatch(r"(\d*)([ADE])(\d+)", part).groups()
+        factors += [_theta(kind, int(n))] * int(times or 1)
+    return _mul(*factors)
+
+
+_LATTICES_AND_FAULTED_E8 = lattices_and_a_faulted_e8()
+#: The gram fault drops E8's O1-B12 edge, which splits off O1 as an A1.
+_ROOT_SYSTEMS = (*(lattice.name for lattice in _LATTICES_AND_FAULTED_E8[:-1]), "A1+E7")
+
+
+@pytest.mark.parametrize("lattice,system", zip(_LATTICES_AND_FAULTED_E8, _ROOT_SYSTEMS), ids=FAULTED_IDS)
+def test_shell_classes_match_the_theta_series(lattice, system):
+    # A vector of norm -2k has fiber bit k mod 2: bit 0 sits on the powers q^(4j) = t^(16j).
+    theta = _theta_of_system(system)
+    hits = shell_classes(lattice, _THETA_FLOOR)
+    assert hits.total() == sum(theta)
+    assert sum(count for (mu, _), count in hits.items() if mu == 0) == sum(theta[::16])
