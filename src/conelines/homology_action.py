@@ -49,6 +49,13 @@ class H1Class:
     def __post_init__(self) -> None:
         if self.fiber_bit not in (0, 1):
             raise ValueError("the fiber coefficient is 2-torsion: expected a bit")
+        _check_pairs(self.pairs)
+
+
+def _check_pairs(pairs: tuple[tuple[int, int], ...]) -> None:
+    """Refuse handle coefficients that are not a tuple of two-item tuples."""
+    if type(pairs) is not tuple or any(type(pair) is not tuple or len(pair) != 2 for pair in pairs):
+        raise ValueError(f"the handle coefficients are a tuple of pairs, not {pairs!r}")
 
 
 def class_coords(x: H1Class) -> tuple[int, ...]:
@@ -71,6 +78,7 @@ class H1Delta:
     def __post_init__(self) -> None:
         if self.fiber_bit not in (0, 1):
             raise ValueError("the fiber coefficient is 2-torsion: expected a bit")
+        _check_pairs(self.pairs)
         if any(k not in (0, 1) for _, k in self.pairs):
             raise ValueError("oval-direction coefficients of a section difference are bits")
 

@@ -107,7 +107,7 @@ _GRAPHS: dict[str, tuple[tuple[str, ...], tuple[tuple[int, int], ...], str]] = {
 }
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SexticType:
     """Topological type of a nonsingular real sextic on the quadric cone.
 
@@ -173,7 +173,7 @@ class SexticType:
 ALL_SEXTIC_TYPES: tuple[SexticType, ...] = tuple(SexticType.from_key(key) for key in _GRAPHS)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SurfaceType:
     """Topological type of the real locus of the rational elliptic surface.
 
@@ -280,17 +280,9 @@ class GeometricLattice:
                 raise ValueError(f"edge {edge!r} of {self.name} is a loop or a repeat")
             joined.add(frozenset(edge))
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __getstate__(self) -> dict:
         """Fields and tables; the kernels are generated code, which does not pickle."""
         return {k: v for k, v in vars(self).items() if k not in _KERNELS}
-
-    @cached_property
-    def _hash(self) -> int:
-        """Hashed once; integer fields only, so a pickled copy stays right under any hash seed."""
-        return hash((self.sextic, self.edges))
 
     @cached_property
     def rank(self) -> int:
@@ -628,9 +620,8 @@ def canonical_root_pair(e: Vec) -> tuple[Vec, Vec]:
 
 
 def root_pairs(lattice: GeometricLattice) -> tuple[tuple[Vec, Vec], ...]:
-    """The roots grouped into +/- pairs, sorted by canonical representative."""
-    pairs = {canonical_root_pair(e) for e in enumerate_roots(lattice)}
-    return tuple(sorted(pairs))
+    """The roots grouped into +/- pairs, the larger root first, in the roots' lexicographic order."""
+    return tuple((e, vneg(e)) for e in enumerate_roots(lattice) if e > vneg(e))
 
 
 # ---------------------------------------------------------------------------

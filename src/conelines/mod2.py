@@ -37,18 +37,12 @@ class Mod2Vector:
     lattice: GeometricLattice
 
     def __post_init__(self) -> None:
+        if type(self.bits) is not tuple:
+            raise ValueError(f"the bits of a residue are a tuple, not {self.bits!r}")
         if len(self.bits) != self.lattice.rank:
             raise ValueError("bit length does not match the lattice rank")
         if not _BITS.issuperset(self.bits):
             raise ValueError("bits must be 0 or 1")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """Hashed once, as a lattice is, from integer fields only (the lattice's hash reads its own)."""
-        return hash((self.bits, self.lattice))
 
     def __add__(self, other: "Mod2Vector") -> "Mod2Vector":
         if other.lattice != self.lattice:

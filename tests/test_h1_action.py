@@ -91,6 +91,24 @@ REJECTIONS = [
         "handle index 3 out of range for K#2T2",
         id="vanishing-orbit-handle-index",
     ),
+    pytest.param(
+        lambda: H1Class(0, [(1, 0)], 1),
+        ValueError,
+        "the handle coefficients are a tuple of pairs, not [(1, 0)]",
+        id="class-pairs-not-a-tuple",
+    ),
+    pytest.param(
+        lambda: H1Delta(0, [(1, 1)]),
+        ValueError,
+        "the handle coefficients are a tuple of pairs, not [(1, 1)]",
+        id="delta-pairs-not-a-tuple",
+    ),
+    pytest.param(
+        lambda: H1Delta(0, ([1, 1],)),
+        ValueError,
+        "the handle coefficients are a tuple of pairs, not ([1, 1],)",
+        id="delta-pair-not-a-tuple",
+    ),
 ]
 
 

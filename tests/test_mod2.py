@@ -1,5 +1,6 @@
 """Mod-2 residues, the quadratic refinement, and root lifting."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -47,6 +48,12 @@ REJECTIONS = [
         ValueError,
         "residue belongs to a different lattice",
         id="lift-across-lattices",
+    ),
+    pytest.param(
+        lambda: Mod2Vector([1, 0, 0, 0, 0, 0], lattice_for("2|0")),
+        ValueError,
+        "the bits of a residue are a tuple, not [1, 0, 0, 0, 0, 0]",
+        id="residue-bits-not-a-tuple",
     ),
 ]
 
@@ -241,10 +248,10 @@ def test_the_constructor_still_checks_every_residue(key):
         Mod2Vector((0, 2), lattice)
 
 
-def test_the_residue_hash_is_cached_and_equality_stays_field_wise(e8):
+def test_a_residue_copy_is_equal_and_hashes_alike(e8):
     x = reduce_mod2(e8, (1, 1) + (0,) * 6)
-    assert hash(x) == hash((x.bits, e8)) and "_hash" in vars(x)
-    assert Mod2Vector(x.bits, e8) == x and Mod2Vector(x.bits, e8) is not x
+    copy = dataclasses.replace(x)
+    assert copy == x and copy is not x and hash(copy) == hash(x)
     # D4 and 4A1 have one rank: the same bits on another lattice differ.
     assert Mod2Vector((0, 1, 0, 0), lattice_for("1|1")) != Mod2Vector((0, 1, 0, 0), lattice_for("0|0"))
 
