@@ -94,14 +94,10 @@ def delta_to_class(delta: H1Delta) -> H1Class:
 
 def class_of_section(g: ModSElement) -> H1Class:
     """Homology class of the image of the reference section under g."""
-    s = g.surface
-    if s.double_klein:
+    if g.surface.double_klein:
         raise UnsupportedTypeError(
             "the double Klein bottle carries no handle frame for section classes"
         )
-    p = s.handles
-    if p == 0:
-        return H1Class(g.fiber_twists[0] % 2, (), 1)
     fiber = (
         sum(g.fiber_twists) + sum(m * (1 - k) for m, k in zip(g.split_twists, g.half_twists))
     ) % 2
@@ -207,9 +203,9 @@ def obstruction_kappa(surface: SurfaceType, m: tuple[int, ...], k: tuple[int, ..
         raise ValueError("coefficient tuples must have one entry per handle")
     if any(b not in (0, 1) for b in k):
         raise ValueError("oval-direction coefficients must be bits")
-    if not surface.double_klein and (p, surface.spheres) == (4, 0):
+    if (p, surface.spheres) == (4, 0):
         return (m[0] + m[2] + sum(mi * ki for mi, ki in zip(m, k)) + sum(k)) % 2
-    if not surface.double_klein and (p, surface.spheres) == (1, 1):
+    if (p, surface.spheres) == (1, 1):
         return 1 if k[0] == 1 else m[0] % 2
     raise UnsupportedTypeError(f"no closed form for the forced fiber bit on {surface}")
 
@@ -268,7 +264,7 @@ def vanishing_orbit(surface: SurfaceType, i: int, n: int) -> H1Class:
     handle cycles twice (and flips the torsion bit).
     """
     p = surface.handles
-    if surface.double_klein or p == 0:
+    if p == 0:
         raise UnsupportedTypeError(f"{surface} has no handles, hence no vanishing cycles")
     if not 1 <= i <= p:
         raise ValueError(f"handle index {i} out of range for {surface}")

@@ -144,8 +144,6 @@ def row_hermite_form(a: Rows) -> HNFResult:
 
 def hermite_rows(a: Rows) -> tuple[tuple[int, ...], ...]:
     """The nonzero rows of the row Hermite form of ``a``, as tuples."""
-    if not a:
-        return ()
     return tuple(tuple(row) for row in row_hermite_form(a).h if any(row))
 
 
@@ -205,8 +203,6 @@ def quotient_invariants(n_cols: int, rows: Rows) -> GroupInvariants:
     """Invariants of Z^n modulo the subgroup spanned by the given rows."""
     if any(len(r) != n_cols for r in rows):
         raise ValueError("row length differs from ambient rank")
-    if not rows:
-        return GroupInvariants(n_cols, ())
     res = smith_normal_form(rows)
     torsion = tuple(d for d in res.diagonal if d > 1)
     return GroupInvariants(n_cols - res.rank, torsion)

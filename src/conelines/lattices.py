@@ -642,6 +642,10 @@ class H2ClassX:
     lattice_part: Vec
     line: int
 
+    def __post_init__(self) -> None:
+        if type(self.lattice_part) is not tuple:
+            raise ValueError(f"the lattice part of a class is a tuple, not {self.lattice_part!r}")
+
 
 def pairing_x(lattice: GeometricLattice, a: H2ClassX, b: H2ClassX) -> int:
     mixed = a.canon * b.line + a.line * b.canon + a.line * b.line

@@ -181,7 +181,7 @@ def fiber_twist(surface: SurfaceType, i: int = 1) -> ModSElement:
 
 def split_twist(surface: SurfaceType, i: int) -> ModSElement:
     """Twist along the splitting curve of the i-th handle."""
-    if surface.double_klein or surface.handles == 0:
+    if surface.handles == 0:
         raise UnsupportedTypeError(f"{surface} has no split-twist generators")
     _check_handle_index(surface, i)
     return mods_element(surface, split_twists=unit_vec(surface.handles, i - 1))
@@ -195,7 +195,7 @@ def handle_half_twist(surface: SurfaceType, i: int) -> ModSElement:
     handle 1 when i is the last handle; its square is the product of the
     fiber twists at handles i and i+1.
     """
-    if surface.double_klein or surface.handles == 0:
+    if surface.handles == 0:
         raise UnsupportedTypeError(f"{surface} has no half-twist generators")
     _check_handle_index(surface, i)
     p = surface.handles
@@ -224,8 +224,6 @@ def mods_delta(surface: SurfaceType) -> ModSElement:
     if surface.double_klein:
         raise UnsupportedTypeError("the double Klein bottle has no distinguished involution")
     p = surface.handles
-    if p == 0:
-        return fiber_twist(surface)
     out = mods_identity(surface)
     for i in range(1, p + 1):
         g = handle_half_twist(surface, i)
@@ -259,7 +257,7 @@ def _normal_exponents(
     below even, so the fiber twists are integers.
     """
     p = surface.handles
-    dim = 2 if surface.double_klein else 2 * p + 1 if p else 1
+    dim = 2 if surface.double_klein else 2 * p + 1
     if len(coords) != dim:
         raise ValueError(f"expected {dim} coordinates")
     if surface.double_klein:
@@ -299,7 +297,7 @@ def mods_group_structure(surface: SurfaceType) -> GroupInvariants:
     are generated by their Z/2 coordinate slots themselves.
     """
     p = surface.handles
-    if surface.double_klein or p == 0:
+    if p == 0:
         return quotient_invariants(*_coordinate_relators(surface))
     rows = []
     for i in range(p):
@@ -322,7 +320,6 @@ def _basis_image(lattice: GeometricLattice, j: int, star: int) -> ModSElement:
     the shift.  Both choices give the same kernel, image and cokernel.
     """
     surface = lattice.sextic.surface()
-    p = surface.handles
     if surface.double_klein:
         # Bridges between the two bands shift; the central one swaps,
         # possibly composed with a shift.
@@ -332,8 +329,6 @@ def _basis_image(lattice: GeometricLattice, j: int, star: int) -> ModSElement:
                 g = mods_mul(g, shift_components(surface))
             return g
         return shift_components(surface)
-    if p == 0:
-        return fiber_twist(surface)
     if j in lattice.oval_indices:
         i = lattice.oval_number(j)
         g = handle_half_twist(surface, i)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .homology_action import count_line_classes
-from .lattices import ALL_SEXTIC_TYPES, SexticType, build_lattice
+from .lattices import ALL_SEXTIC_TYPES, SexticType, SurfaceType, build_lattice
 from .mapping_class import mods_group_structure, translation_analysis
 from .mod2 import strata_profile
 from .tritangents import TritangentType, type_census
@@ -20,21 +20,15 @@ from .tritangents import TritangentType, type_census
 #: Column order of the census grid: the order of ``ALL_SEXTIC_TYPES``.
 CENSUS_COLUMN_ORDER: tuple[str, ...] = tuple(s.key for s in ALL_SEXTIC_TYPES)
 
-#: Column order of the strata grid, as published: the oval-free type
-#: moves behind the band types.
-STRATA_COLUMN_ORDER: tuple[str, ...] = (
-    "4|0",
-    "3|0",
-    "2|0",
-    "1|0",
-    "1|1",
-    "|||",
-    "0|0",
-    "0|1",
-    "0|2",
-    "0|3",
-    "0|4",
+#: The types in the published column order of the strata grid: a stable
+#: sort of ``ALL_SEXTIC_TYPES`` that moves the oval-free ``0|q`` types
+#: behind the band type.
+_STRATA_TYPES: tuple[SexticType, ...] = tuple(
+    sorted(ALL_SEXTIC_TYPES, key=lambda s: not (s.pos_ovals or s.bands))
 )
+
+#: Column order of the strata grid, as published.
+STRATA_COLUMN_ORDER: tuple[str, ...] = tuple(s.key for s in _STRATA_TYPES)
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,7 @@ def tritangent_table() -> Report:
 
 def strata_table() -> Report:
     """Sizes of the mod-2 strata of each root lattice."""
-    lattices = [build_lattice(SexticType.from_key(key)) for key in STRATA_COLUMN_ORDER]
+    lattices = [build_lattice(sextic) for sextic in _STRATA_TYPES]
     profiles = [strata_profile(lattice) for lattice in lattices]
     rows = (
         ("lattice", *(lattice.name for lattice in lattices)),
@@ -108,31 +102,35 @@ def mw_table() -> Report:
     )
 
 
-#: The five surface families sharing one line-class count each.
-_LINE_CLASS_FAMILIES: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("K#pT2, 0<p<=4", ("4|0", "3|0", "2|0", "1|0")),
-    ("K#T2+S2", ("1|1",)),
-    ("K+K", ("|||",)),
-    ("K+qS2, 0<=q<4", ("0|0", "0|1", "0|2", "0|3")),
-    ("K+4S2", ("0|4",)),
-)
+def _line_class_family(surface: SurfaceType) -> str:
+    """The column of the line-class table that holds ``surface``: the five
+    published families share one line-class count each."""
+    if surface.double_klein:
+        return "K+K"
+    if surface.handles:
+        return "K#T2+S2" if surface.spheres else "K#pT2, 0<p<=4"
+    return "K+4S2" if surface.spheres == 4 else "K+qS2, 0<=q<4"
 
 
 def line_class_table() -> Report:
-    """Number of section homology classes realized by real lines."""
+    """Number of section homology classes realized by real lines.
+
+    The families come in the order of their first type in the strata grid.
+    """
+    families: dict[str, set[int | None]] = {}
+    for sextic in _STRATA_TYPES:
+        surface = sextic.surface()
+        counts = families.setdefault(_line_class_family(surface), set())
+        counts.add(count_line_classes(surface).finite)
     cells = []
-    for _, keys in _LINE_CLASS_FAMILIES:
-        counts = {
-            count_line_classes(SexticType.from_key(key).surface()).finite
-            for key in keys
-        }
+    for label, counts in families.items():
         if len(counts) != 1:
-            raise AssertionError(f"line-class count differs inside family {keys}")
+            raise AssertionError(f"line-class count differs inside family {label}")
         value = counts.pop()
         cells.append("infinity" if value is None else value)
     return Report(
         title="homology classes of real lines",
-        columns=tuple(label for label, _ in _LINE_CLASS_FAMILIES),
+        columns=tuple(families),
         rows=(tuple(cells),),
     )
 

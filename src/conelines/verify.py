@@ -304,9 +304,8 @@ def _criterion_1(rng: random.Random) -> Iterator[CheckResult]:
 
 def _criterion_2(rng: random.Random) -> Iterator[CheckResult]:
     """Mod-2 strata sizes and the odd-radical halving identity."""
-    for sextic in ALL_SEXTIC_TYPES:
-        key = sextic.key
-        profile = strata_profile(build_lattice(sextic))
+    profiles = {sextic.key: strata_profile(build_lattice(sextic)) for sextic in ALL_SEXTIC_TYPES}
+    for key, profile in profiles.items():
         sizes = (
             profile.size_v,
             profile.size_r,
@@ -317,7 +316,7 @@ def _criterion_2(rng: random.Random) -> Iterator[CheckResult]:
         yield _eq(f"2.strata {key}", sizes, _STRATA_EXPECTED[key][0])
         yield _eq(f"2.radical-values {key}", profile.r_counts, _STRATA_EXPECTED[key][1])
     for key in ("0|0", "1|0", "2|0", "3|0", "0|1", "0|2", "0|3"):
-        profile = strata_profile(build_lattice(SexticType.from_key(key)))
+        profile = profiles[key]
         odd = profile.r_counts[1] + profile.r_counts[3]
         yield _eq(f"2.odd-radical-half {key}", 2 * odd, profile.size_r)
 

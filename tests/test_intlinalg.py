@@ -8,6 +8,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conelines.intlinalg import (
     GroupInvariants,
+    hermite_rows,
     identity_matrix,
     in_rowspan,
     left_kernel_basis,
@@ -165,6 +166,10 @@ def test_degenerate_shapes_keep_their_values():
     assert left_kernel_basis([[], []]) == ((1, 0), (0, 1))
     assert solve_left([[], []], ()) == (0, 0)
     assert quotient_invariants(0, [[]]) == GroupInvariants(0, ())
+    # No rows at all (the rank-0 lattice of K+4S2): the general path gives
+    # the empty answer.
+    assert smith_normal_form([]).diagonal == ()
+    assert hermite_rows(()) == left_kernel_basis(()) == solve_left((), ()) == ()
     row = smith_normal_form([[0, 0]])
     assert (row.s, row.u, row.v) == ([[0, 0]], [[1]], identity_matrix(2))
     column = smith_normal_form([[0], [0]])

@@ -231,6 +231,29 @@ def test_shell_classes_match_a_count_over_fresh_residues(lattice):
     assert (from_q0 == expected) == all(q0(r) == 0 for r in radical)
 
 
+def _mod_2_split_at_norm_minus_4(lattice) -> tuple[int, int, int, Counter]:
+    """Classes and vectors of the -4 shell, the vectors in the zero class,
+    and how many nonzero classes hold n vectors of fiber bit mu with q0 = q,
+    keyed by (mu, q, n)."""
+    hits = shell_classes(lattice, -4)
+    split = Counter(
+        (mu, q0(Mod2Vector(bits, lattice)), n) for (mu, bits), n in hits.items() if any(bits)
+    )
+    return len(hits), hits.total(), hits[0, (0,) * lattice.rank], split
+
+
+def test_e8_mod_2_has_one_plus_120_plus_135_classes(e8):
+    # E8/2E8 (Conway and Sloane, SPLAG ch. 4 section 8.1): the zero class,
+    # 120 classes of q0 = 1 each holding a root pair +-r (norm -2, fiber
+    # bit 1), and 135 nonzero classes of q0 = 0 each holding 16 vectors of
+    # norm -4 (fiber bit 0): 1 + 240 + 2160 vectors of norm >= -4.  This
+    # witnesses the 4|0 strata row and the mod-2 table together.
+    assert _mod_2_split_at_norm_minus_4(e8) == (256, 2401, 1, {(1, 1, 2): 120, (0, 0, 16): 135})
+    with gram_fault():
+        faulted = lattice_for("4|0")
+    assert _mod_2_split_at_norm_minus_4(faulted) != _mod_2_split_at_norm_minus_4(e8)
+
+
 @pytest.mark.parametrize("key", TYPE_KEYS)
 def test_the_constructor_still_checks_every_residue(key):
     lattice = lattice_for(key)

@@ -58,6 +58,12 @@ REJECTIONS = [
         "the class's residue is not on the lattice of K#4T2",
         id="realizable-across-lattices",
     ),
+    pytest.param(
+        lambda: H2ClassX(0, [1, 0, 0, 0, 0, 0, 0, 0], 1),
+        ValueError,
+        "the lattice part of a class is a tuple, not [1, 0, 0, 0, 0, 0, 0, 0]",
+        id="h2-lattice-part-not-a-tuple",
+    ),
 ]
 
 
