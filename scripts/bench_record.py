@@ -9,8 +9,10 @@ and seed, so copy the records aside between runs.  Give the parent's
 records and the change's; each metric of each workload is reported as
 the median over that workload's runs, with its quartiles and the sorted
 values of the runs.  A ``--workload all`` run labels each of its records
-"all", so such records are refused: record one ``--workload <name>`` run
-per workload.
+"all" but names its file ``<workload>-seed<s>-trace0.json``, so such a
+record is taken to be of the workload its file name says; an "all"
+record under any other name is refused (record one ``--workload <name>``
+run per workload, or keep the names the run wrote).
 
 The records of the two sides are paired in the order given (the first
 parent record of a workload with its first change record, and so on), so
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import sys
 from pathlib import Path
@@ -58,14 +61,25 @@ def condense(paths: list[Path]) -> tuple[dict, dict[str, list[dict]]]:
     for path, record in zip(paths, records):
         if record.get("trace") != 0:
             raise ValueError(f"{path}: not an end-to-end record (--trace 0)")
-        if record["workload"] == "all":
-            raise ValueError(f"{path}: a --workload all record; record one --workload <name> run per workload")
-        runs.setdefault(record["workload"], []).append(record["metrics"])
+        runs.setdefault(_workload(path, record), []).append(record["metrics"])
     side["workloads"] = {
         workload: {name: _summary([m[name][0] for m in metrics], unit) for name, (_, unit) in metrics[0].items()}
         for workload, metrics in sorted(runs.items())
     }
     return side, runs
+
+
+def _workload(path: Path, record: dict) -> str:
+    """The record's workload; for an "all" record, the one its file name carries."""
+    if record["workload"] != "all":
+        return record["workload"]
+    named = re.fullmatch(rf"(\w+)-seed{record['seed']}-trace0\.json", path.name)
+    if named is None:
+        raise ValueError(
+            f"{path}: a --workload all record not named <workload>-seed<s>-trace0.json; "
+            "record one --workload <name> run per workload"
+        )
+    return named[1]
 
 
 def _summary(values: list[float], unit: str) -> dict:

@@ -7,24 +7,3 @@ brute-force enumeration.
 """
 
 __version__ = "0.1.0"
-
-from .lattices import (
-    ALL_SEXTIC_TYPES,
-    ALL_SURFACE_TYPES,
-    GeometricLattice,
-    SexticType,
-    SurfaceType,
-    UnsupportedTypeError,
-    build_lattice,
-)
-
-__all__ = [
-    "ALL_SEXTIC_TYPES",
-    "ALL_SURFACE_TYPES",
-    "GeometricLattice",
-    "SexticType",
-    "SurfaceType",
-    "UnsupportedTypeError",
-    "build_lattice",
-    "__version__",
-]

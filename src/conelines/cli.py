@@ -228,7 +228,7 @@ def cmd_act(
         rows.append(("class out", str((y.mu, *y.v_part.bits, y.nu))))
     else:
         matrix = action_matrix(surface, section_delta(g))
-        dim = 2 * surface.handles + 2
+        dim = len(matrix.entries)
         if len(coords) != dim:
             raise ValueError(
                 f"a homology class on {surface.key} takes {dim} coordinates "

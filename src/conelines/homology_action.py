@@ -11,8 +11,8 @@ and the parity obstruction singling out the classes realizable by real
 lines.  ``realizable_mod2`` forces the fiber bit on three surfaces,
 K#4T2, K#T2+S2 and K+4S2; ``obstruction_kappa`` writes it in closed form
 on the first two.  ``split_twist_preimage`` pulls a split twist back to
-a lattice vector through the explicit presentation of the translation
-map, the same row span ``is_translation_class`` tests.
+a lattice vector by ``mapping_class._translation_preimage``, the one
+solve that also decides ``is_translation_class``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .intlinalg import Matrix, mat_mul, solve_left
+from .intlinalg import Matrix, mat_mul
 from .lattices import GeometricLattice, SurfaceType, UnsupportedTypeError, Vec, build_lattice
 from .mapping_class import (
     ModSElement,
-    linear_coordinates,
+    _translation_preimage,
     split_twist,
     translation_analysis,
     translation_class,
@@ -237,18 +237,16 @@ class LineClassCount:
 def split_twist_preimage(lattice: GeometricLattice, i: int) -> Vec:
     """A lattice vector whose translation is the split twist at oval i.
 
-    One exact solve of the split twist's linear coordinates against the
-    rows of the basis images and relators, the presentation of the
-    translation map that ``is_translation_class`` tests membership in.
-    Raises ``UnsupportedTypeError`` when the split twist lies outside the
-    image, as at ovals 2 and 4 of K#4T2 (the Z/2 cokernel).
+    ``mapping_class._translation_preimage`` of the split twist, the same
+    solve ``is_translation_class`` tests membership with.  Raises
+    ``UnsupportedTypeError`` when the split twist lies outside the image,
+    as at ovals 2 and 4 of K#4T2 (the Z/2 cokernel).
     """
     surface = lattice.sextic.surface()
-    _, rows, _, _ = lattice._translations
-    sol = solve_left(rows, linear_coordinates(split_twist(surface, i)))
-    if sol is None:
+    w = _translation_preimage(lattice, split_twist(surface, i))
+    if w is None:
         raise UnsupportedTypeError(f"no split-twist preimage at oval {i} on {surface}")
-    return sol[: lattice.rank]
+    return w
 
 
 def count_line_classes(surface: SurfaceType) -> LineClassCount:

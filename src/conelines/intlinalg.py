@@ -162,15 +162,14 @@ def solve_left(a: Rows, b: Sequence[int]) -> tuple[int, ...] | None:
 
     Peels b off the pivots of U A = H from left to right; b = y H, and
     x = y U, iff nothing is left.  A remainder at a pivot stays in the
-    leftover, since later rows of H vanish in that column.
+    leftover, since later rows of H vanish in that column.  A matrix with
+    no rows has every width: x = () solves a zero b of any length.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if len(b) != n:
+    if a and len(b) != len(a[0]):
         raise ValueError("right-hand side has wrong length")
     res = row_hermite_form(a)
     rest = list(b)
-    y = [0] * m
+    y = [0] * len(a)
     for i, row in enumerate(res.h[: res.rank]):
         c = next(j for j, x in enumerate(row) if x)
         y[i] = rest[c] // row[c]

@@ -385,8 +385,8 @@ class GeometricLattice:
         from .mapping_class import _image_matrix  # mapping_class builds on this module
 
         dim, rows = _image_matrix(self, 0)
-        # A rank-0 lattice has no images, but still one (empty) column per slot.
-        return dim, rows, self.sextic.surface(), tuple(zip(*rows[: self.rank])) or ((),) * dim
+        columns = tuple(tuple(row[k] for row in rows[: self.rank]) for k in range(dim))
+        return dim, rows, self.sextic.surface(), columns
 
     @cached_property
     def _square_completion(self) -> tuple[int, tuple]:
@@ -501,13 +501,8 @@ def _descent(scale: int, levels: tuple, leaf: str) -> tuple[str, ...]:
 _LATTICES: ContextVar[Mapping[str, GeometricLattice]] = ContextVar(
     "_LATTICES",
     default=MappingProxyType({
-        key: GeometricLattice(
-            name=name,
-            sextic=SexticType.from_key(key),
-            basis_names=names,
-            edges=edges,
-        )
-        for key, (names, edges, name) in _GRAPHS.items()
+        sextic.key: GeometricLattice(name=name, sextic=sextic, basis_names=names, edges=edges)
+        for sextic, (names, edges, name) in zip(ALL_SEXTIC_TYPES, _GRAPHS.values())
     }),
 )
 

@@ -23,9 +23,9 @@ Translating along a section moves every fiber by an element of the
 vanishing-cycle lattice; ``translation_class`` is the resulting
 homomorphism from the lattice into the mapping class group.  Its one
 presentation, ``_image_matrix``, is kept on the lattice as its
-``_translations`` table, which ``translation_class``,
-``is_translation_class``, ``homology_action.split_twist_preimage`` and
-``translation_analysis`` (kernel, image and cokernel) all read.
+``_translations`` table.  ``translation_class`` and ``translation_analysis``
+(kernel, image and cokernel) read it, and so does ``_translation_preimage``,
+one solve for membership and for split-twist preimages alike.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from operator import add, mul
 from .intlinalg import (
     GroupInvariants,
     hermite_rows,
-    in_rowspan,
     left_kernel_basis,
     quotient_invariants,
+    solve_left,
 )
 from .lattices import (
     GeometricLattice,
@@ -345,7 +345,8 @@ def _basis_image(lattice: GeometricLattice, j: int, star: int) -> ModSElement:
     if not touching:
         # An isolated bridge component acts as a plain fiber twist.
         return fiber_twist(surface, 1)
-    raise RuntimeError(f"unexpected adjacency for basis element {lattice.basis_names[j]}")
+    name = lattice.basis_names[j]
+    raise UnsupportedTypeError(f"no translation rule for basis class {name} of {lattice.name} ({lattice.sextic})")
 
 
 def _image_matrix(lattice: GeometricLattice, star: int) -> tuple[int, tuple[Vec, ...]]:
@@ -393,10 +394,16 @@ def translation_analysis(lattice: GeometricLattice, star: int = 0) -> Translatio
     return TranslationAnalysis(kernel, image, quotient_invariants(dim, stacked))
 
 
+def _translation_preimage(lattice: GeometricLattice, g: ModSElement) -> Vec | None:
+    """A lattice vector whose translation is g, or None: one solve of g's
+    coordinates against the presentation's rows, cut to the basis images."""
+    sol = solve_left(lattice._translations[1], linear_coordinates(g))
+    return None if sol is None else sol[: lattice.rank]
+
+
 def is_translation_class(g: ModSElement) -> bool:
     """Is the mapping class realized by translation along some lattice vector?"""
-    _, rows, _, _ = build_lattice(g.surface.sextic())._translations
-    return in_rowspan(rows, linear_coordinates(g))
+    return _translation_preimage(build_lattice(g.surface.sextic()), g) is not None
 
 
 def in_translation_kernel(lattice: GeometricLattice, v: Vec) -> bool:

@@ -102,7 +102,7 @@ def oval_bridge_split(lattice: GeometricLattice, x: Mod2Vector) -> OvalBridgeSpl
     geometric basis.
     """
     sx = lattice.sextic
-    if sx.bands or sx.pos_ovals == 0:
+    if not sx.pos_ovals:
         raise UnsupportedTypeError(
             f"type {sx} has no oval/bridge splitting (no ovals in the basis)"
         )
@@ -152,7 +152,7 @@ def classify_root(lattice: GeometricLattice, e: Vec) -> Tritangent:
         raise ValueError(f"not a root of the {lattice.sextic} lattice: {e}")
     sx = lattice.sextic
     pair_ = canonical_root_pair(e)
-    if sx.bands or sx.pos_ovals == 0:
+    if not sx.pos_ovals:
         code = Code((), None, _band_label(e)) if sx.bands else None
         return Tritangent(pair_, frozenset(), frozenset(), TritangentType.T0, code)
 
@@ -229,7 +229,7 @@ def pair_census(sextic: SexticType) -> dict[tuple[frozenset[int], frozenset[int]
 
 def code_census(sextic: SexticType) -> Counter[str]:
     """Multiset of serialized crossing codes over the whole census."""
-    if sextic.bands or sextic.pos_ovals == 0:
+    if not sextic.pos_ovals:
         raise UnsupportedTypeError(f"type {sextic} has no crossing codes")
     return Counter(t.code.serialize() for t in enumerate_tritangents(sextic))
 

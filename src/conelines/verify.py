@@ -41,6 +41,7 @@ from .homology_action import (
 from .intlinalg import hermite_rows
 from .lattices import (
     ALL_SEXTIC_TYPES,
+    ALL_SURFACE_TYPES,
     GeometricLattice,
     H2ClassX,
     SexticType,
@@ -517,7 +518,7 @@ def _criterion_6(rng: random.Random) -> Iterator[CheckResult]:
 
 def _criterion_7(rng: random.Random) -> Iterator[CheckResult]:
     """Section-difference group law versus the homology action matrices."""
-    surfaces = [SexticType.from_key(k).surface() for k in ("4|0", "3|0", "2|0", "1|0", "1|1")]
+    surfaces = [s for s in ALL_SURFACE_TYPES if s.handles]
     multiplicative = law_match = triangular = True
     for surface in surfaces:
         p = surface.handles
@@ -677,8 +678,7 @@ def _criterion_11(rng: random.Random) -> Iterator[CheckResult]:
         if counted.finite is None:
             witnesses = counted.witnesses(100)
             yield _eq(f"11.witnesses {surface.key}", len(set(witnesses)), 100)
-    for key in ("4|0", "3|0", "2|0", "1|0", "1|1"):
-        surface = SexticType.from_key(key).surface()
+    for surface in [s for s in ALL_SURFACE_TYPES if s.handles]:
         orbit = {vanishing_orbit(surface, 1, n) for n in range(100)}
         yield _eq(f"11.vanishing-orbit {surface.key}", len(orbit), 100)
 

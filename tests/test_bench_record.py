@@ -106,3 +106,23 @@ def test_records_of_mixed_sources_or_traced_runs_are_refused(tmp_path, capsys, s
     assert main(["--parent", str(first), str(other), "--change", str(first), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_records_of_a_workload_all_run_take_the_workload_from_their_file_name(tmp_path):
+    main = runpy.run_path(str(SCRIPT))["main"]
+    # Such a run labels every record "all" and writes <workload>-seed<s>-trace0.json.
+    paths = {}
+    for side, commit, sha, p50 in (("p", "aaa", "s1", 700.0), ("c", "bbb", "s2", 600.0)):
+        run = tmp_path / side
+        run.mkdir()
+        paths[side] = [
+            _write(run, f"{workload}-seed0-trace0", _record(commit, sha, "all", p50 + offset, 30.0))
+            for workload, offset in (("verify", 500.0), ("shell_sweep", 0.0))
+        ]
+    out = tmp_path / "BENCH.json"
+    assert main(["--parent", *map(str, paths["p"]), "--change", *map(str, paths["c"]), "--out", str(out)]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(record["parent"]["workloads"]) == ["shell_sweep", "verify"]
+    assert record["parent"]["workloads"]["verify"]["op_p50_ms"]["runs"] == [1200.0]
+    assert record["change"]["workloads"]["shell_sweep"]["op_p50_ms"]["runs"] == [600.0]
+    assert record["comparison"]["verify"]["op_p50_ms"]["median_gap"] == 100.0

@@ -170,6 +170,11 @@ def test_degenerate_shapes_keep_their_values():
     # the empty answer.
     assert smith_normal_form([]).diagonal == ()
     assert hermite_rows(()) == left_kernel_basis(()) == solve_left((), ()) == ()
+    # ... and they have every width, as quotient_invariants(2, ()) = Z^2 says.
+    assert solve_left((), (0, 0)) == ()
+    assert solve_left((), (0, 1)) is None
+    assert in_rowspan((), (0, 0)) and not in_rowspan((), (0, 1))
+    assert quotient_invariants(2, ()) == GroupInvariants(2, ())
     row = smith_normal_form([[0, 0]])
     assert (row.s, row.u, row.v) == ([[0, 0]], [[1]], identity_matrix(2))
     column = smith_normal_form([[0], [0]])

@@ -4,7 +4,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conelines.homology_action import split_twist_preimage
@@ -22,6 +22,7 @@ from conelines.mapping_class import (
     ModSElement,
     _coordinate_relators,
     _image_matrix,
+    _translation_preimage,
     fiber_twist,
     from_linear_coordinates,
     handle_half_twist,
@@ -106,6 +107,15 @@ REJECTIONS = [
         ValueError,
         "vector length differs from lattice rank",
         id="translation-class-length",
+    ),
+    pytest.param(
+        # A caller's lattice whose bridge B2 touches an oval and a bridge.
+        lambda: translation_class(
+            dataclasses.replace(lattice_for("2|0"), edges=lattice_for("2|0").edges + ((4, 5),)), (0,) * 6
+        ),
+        UnsupportedTypeError,
+        "no translation rule for basis class B2 of D6 (2|0)",
+        id="translation-class-unexpected-adjacency",
     ),
 ]
 
@@ -251,10 +261,17 @@ def test_translation_is_a_homomorphism(data):
 
 
 @given(lattice_vector_pair())
+@example((lattice_for("|||"), (1, 0, 1, 1), ()))
+@example((lattice_for("0|4"), (), ()))
 @settings(max_examples=100)
 def test_translations_land_in_the_image(data):
+    # The one solve behind membership and split-twist preimages finds a
+    # vector translating to g on every surface, K+K and rank 0 included.
     lattice, v, _ = data
-    assert is_translation_class(translation_class(lattice, v))
+    g = translation_class(lattice, v)
+    assert is_translation_class(g)
+    w = _translation_preimage(lattice, g)
+    assert w is not None and translation_class(lattice, w) == g
 
 
 @given(lattice_vector_pair())
