@@ -24,6 +24,7 @@ from .intlinalg import Matrix, mat_mul
 from .lattices import GeometricLattice, SurfaceType, UnsupportedTypeError, Vec, build_lattice
 from .mapping_class import (
     ModSElement,
+    _check_handle_index,
     _translation_preimage,
     split_twist,
     translation_analysis,
@@ -47,13 +48,14 @@ class H1Class:
     line_coeff: int
 
     def __post_init__(self) -> None:
-        if self.fiber_bit not in (0, 1):
-            raise ValueError("the fiber coefficient is 2-torsion: expected a bit")
-        _check_pairs(self.pairs)
+        _check_frame(self.fiber_bit, self.pairs)
 
 
-def _check_pairs(pairs: tuple[tuple[int, int], ...]) -> None:
-    """Refuse handle coefficients that are not a tuple of two-item tuples."""
+def _check_frame(fiber_bit: int, pairs: tuple[tuple[int, int], ...]) -> None:
+    """Refuse a fiber coefficient that is not a bit, then handle coefficients
+    that are not a tuple of two-item tuples."""
+    if fiber_bit not in (0, 1):
+        raise ValueError("the fiber coefficient is 2-torsion: expected a bit")
     if type(pairs) is not tuple or any(type(pair) is not tuple or len(pair) != 2 for pair in pairs):
         raise ValueError(f"the handle coefficients are a tuple of pairs, not {pairs!r}")
 
@@ -76,9 +78,7 @@ class H1Delta:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.fiber_bit not in (0, 1):
-            raise ValueError("the fiber coefficient is 2-torsion: expected a bit")
-        _check_pairs(self.pairs)
+        _check_frame(self.fiber_bit, self.pairs)
         if any(k not in (0, 1) for _, k in self.pairs):
             raise ValueError("oval-direction coefficients of a section difference are bits")
 
@@ -166,7 +166,7 @@ def action_mul(a: H1ActionMatrix, b: H1ActionMatrix) -> H1ActionMatrix:
     """Matrix product, reducing the torsion row mod 2."""
     if a.surface != b.surface:
         raise ValueError("matrices act on different surfaces")
-    prod = mat_mul([list(r) for r in a.entries], [list(r) for r in b.entries])
+    prod = mat_mul(a.entries, b.entries)
     prod[0] = [x % 2 for x in prod[0]]
     return H1ActionMatrix(a.surface, tuple(tuple(row) for row in prod))
 
@@ -264,7 +264,6 @@ def vanishing_orbit(surface: SurfaceType, i: int, n: int) -> H1Class:
     p = surface.handles
     if p == 0:
         raise UnsupportedTypeError(f"{surface} has no handles, hence no vanishing cycles")
-    if not 1 <= i <= p:
-        raise ValueError(f"handle index {i} out of range for {surface}")
+    _check_handle_index(surface, i)
     pairs = tuple((-2 * n, 1) if j == i - 1 else (0, 0) for j in range(p))
     return H1Class(n % 2, pairs, 0)

@@ -65,10 +65,6 @@ def smul(c: int, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
-def zero_vec(rank: int) -> Vec:
-    return (0,) * rank
-
-
 def unit_vec(rank: int, i: int) -> Vec:
     return tuple(1 if j == i else 0 for j in range(rank))
 
@@ -649,12 +645,12 @@ def pairing_x(lattice: GeometricLattice, a: H2ClassX, b: H2ClassX) -> int:
 
 def fiber_class_x(lattice: GeometricLattice) -> H2ClassX:
     """The fiber class (negative of the canonical class)."""
-    return H2ClassX(-1, zero_vec(lattice.rank), 0)
+    return H2ClassX(-1, (0,) * lattice.rank, 0)
 
 
 def base_line_class_x(lattice: GeometricLattice) -> H2ClassX:
     """The fixed reference section."""
-    return H2ClassX(0, zero_vec(lattice.rank), 1)
+    return H2ClassX(0, (0,) * lattice.rank, 1)
 
 
 def line_class_on_X(lattice: GeometricLattice, v: Vec) -> H2ClassX:

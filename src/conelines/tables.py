@@ -17,18 +17,12 @@ from .mapping_class import mods_group_structure, translation_analysis
 from .mod2 import strata_profile
 from .tritangents import TritangentType, type_census
 
-#: Column order of the census grid: the order of ``ALL_SEXTIC_TYPES``.
-CENSUS_COLUMN_ORDER: tuple[str, ...] = tuple(s.key for s in ALL_SEXTIC_TYPES)
-
 #: The types in the published column order of the strata grid: a stable
 #: sort of ``ALL_SEXTIC_TYPES`` that moves the oval-free ``0|q`` types
 #: behind the band type.
 _STRATA_TYPES: tuple[SexticType, ...] = tuple(
     sorted(ALL_SEXTIC_TYPES, key=lambda s: not (s.pos_ovals or s.bands))
 )
-
-#: Column order of the strata grid, as published.
-STRATA_COLUMN_ORDER: tuple[str, ...] = tuple(s.key for s in _STRATA_TYPES)
 
 
 @dataclass(frozen=True)
@@ -47,7 +41,7 @@ def tritangent_table() -> Report:
     rows.append(("total", *(sum(census.values()) for census in censuses)))
     return Report(
         title="positive tritangent counts by type",
-        columns=("tritangent type",) + CENSUS_COLUMN_ORDER,
+        columns=("tritangent type", *(s.key for s in ALL_SEXTIC_TYPES)),
         rows=tuple(rows),
     )
 
@@ -66,7 +60,7 @@ def strata_table() -> Report:
     )
     return Report(
         title="mod-2 strata sizes by sextic type",
-        columns=("quantity",) + STRATA_COLUMN_ORDER,
+        columns=("quantity", *(s.key for s in _STRATA_TYPES)),
         rows=rows,
     )
 
@@ -115,23 +109,18 @@ def _line_class_family(surface: SurfaceType) -> str:
 def line_class_table() -> Report:
     """Number of section homology classes realized by real lines.
 
-    The families come in the order of their first type in the strata grid.
+    The families come in the order of their first type in the strata grid,
+    and each shows the count of that first surface.
     """
-    families: dict[str, set[int | None]] = {}
+    families: dict[str, SurfaceType] = {}
     for sextic in _STRATA_TYPES:
         surface = sextic.surface()
-        counts = families.setdefault(_line_class_family(surface), set())
-        counts.add(count_line_classes(surface).finite)
-    cells = []
-    for label, counts in families.items():
-        if len(counts) != 1:
-            raise AssertionError(f"line-class count differs inside family {label}")
-        value = counts.pop()
-        cells.append("infinity" if value is None else value)
+        families.setdefault(_line_class_family(surface), surface)
+    counts = [count_line_classes(surface).finite for surface in families.values()]
     return Report(
         title="homology classes of real lines",
         columns=tuple(families),
-        rows=(tuple(cells),),
+        rows=(tuple("infinity" if value is None else value for value in counts),),
     )
 
 

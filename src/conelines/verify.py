@@ -109,8 +109,6 @@ def _stable_repr(value: object) -> str:
     if isinstance(value, tuple):
         inner = ", ".join(_stable_repr(v) for v in value)
         return f"({inner},)" if len(value) == 1 else f"({inner})"
-    if isinstance(value, list):
-        return "[" + ", ".join(_stable_repr(v) for v in value) + "]"
     return repr(value)
 
 
@@ -300,7 +298,7 @@ def _criterion_1(rng: random.Random) -> Iterator[CheckResult]:
         census = type_census(sextic)
         observed = tuple(census[t] for t in order)
         yield _eq(f"1.census {key}", observed, _CENSUS_GRID[key])
-        yield _eq(f"1.total {key}", sum(observed), sum(_CENSUS_GRID[key]))
+        yield _eq(f"1.total {key}", sum(observed), _STRATA_EXPECTED[key][0][4])
 
 
 def _criterion_2(rng: random.Random) -> Iterator[CheckResult]:
@@ -552,9 +550,9 @@ def _shadow(lattice: GeometricLattice, x: H2ClassX) -> H1Mod2Class:
 
 def _criterion_8(rng: random.Random) -> Iterator[CheckResult]:
     """Unipotent action on second homology."""
+    lattices = [build_lattice(SexticType.from_key(key)) for key in ("4|0", "2|0", "1|1")]
     preserved = True
-    for key in ("4|0", "2|0", "1|1"):
-        lattice = build_lattice(SexticType.from_key(key))
+    for lattice in lattices:
         n = lattice.rank
         for _ in range(200):
             w = tuple(rng.randrange(-3, 4) for _ in range(n))
@@ -584,8 +582,7 @@ def _criterion_8(rng: random.Random) -> Iterator[CheckResult]:
     )
 
     reduction = True
-    for key in ("4|0", "2|0", "1|1"):
-        lattice = build_lattice(SexticType.from_key(key))
+    for lattice in lattices:
         n = lattice.rank
         samples = [base_line_class_x(lattice)] + [_random_h2(rng, n, 4, 2, 1) for _ in range(3)]
         for w in enumerate_roots(lattice):

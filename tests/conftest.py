@@ -6,6 +6,7 @@ import pytest
 import conelines
 from conelines.cli import gram_fault
 from conelines.lattices import ALL_SEXTIC_TYPES, SexticType, build_lattice
+from conelines.mod2 import all_residues, in_radical, q0, q_on_R
 
 TYPE_KEYS = tuple(s.key for s in ALL_SEXTIC_TYPES)
 
@@ -40,6 +41,12 @@ def lattices_and_a_faulted_e8() -> list:
     with gram_fault():
         faulted = lattice_for("4|0")
     return [*(lattice_for(key) for key in TYPE_KEYS), faulted]
+
+
+def odd_residues_outside_r1(lattice) -> set:
+    """W, found without a root: the residues of q0 = 1 off the radical and
+    the radical ones of Z/4 value 3 (the strata table's V1 - R1)."""
+    return {x for x in all_residues(lattice) if (q_on_R(x) == 3 if in_radical(x) else q0(x))}
 
 
 def assert_rejected(call, error: type[Exception], message: str) -> None:

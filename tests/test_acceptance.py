@@ -5,6 +5,7 @@ check families; criterion 12 drives the command-line entry point itself,
 including `verify --fault`, and pins the whole report byte for byte.
 """
 
+import dataclasses
 import gc
 import hashlib
 import random
@@ -14,9 +15,9 @@ import sys
 import pytest
 
 from conelines import cli, verify
-from conelines.lattices import GeometricLattice
+from conelines.lattices import ALL_SEXTIC_TYPES, GeometricLattice
 from conelines.mod2 import q0
-from conftest import src_env
+from conftest import TYPE_KEYS, src_env
 
 #: sha256 of the markdown reports of ``verify`` and ``verify --fault gram``
 #: at the default seed: the reports are byte-identical from run to run.
@@ -132,6 +133,63 @@ def test_criterion_09_checks_d6_against_the_librarys_realizability_rule(monkeypa
     assert {name for name, passed in forced.items() if not passed} == {"9.classes-attained-set 2|0"}
     monkeypatch.undo()
     assert {r.name: r.passed for r in verify.run_criterion(9)} == rows
+
+
+def test_criterion_01_total_reads_the_strata_table(monkeypatch):
+    """The census total and |V1 - R1| are two frozen routes to one number."""
+    monkeypatch.setitem(verify._STRATA_EXPECTED, "3|0", ((128, 2, 64, 1, 62), (1, 1, 0, 0)))
+    assert {r.name for r in verify.run_criterion(1) if not r.passed} == {"1.total 3|0"}
+
+
+def _shifted_canon(act):
+    def shifted(lattice, w, x):
+        moved = act(lattice, w, x)
+        return dataclasses.replace(moved, canon=moved.canon + 1)
+
+    return shifted
+
+
+SURFACE_KEYS = tuple(s.surface().key for s in ALL_SEXTIC_TYPES)
+
+#: (family, name in verify, mutant of the real function, the rows it fails).
+MUTANTS = [
+    pytest.param(
+        6,
+        "mods_mul",
+        lambda real: lambda a, b: a,
+        {
+            # 0|4's lattice has rank 0, and the chains call mods_delta itself
+            *(f"6.translation-additive {key}" for key in TYPE_KEYS if key != "0|4"),
+            *(f"6.commutative-associative {key}" for key in SURFACE_KEYS),
+            *(f"6.involution {key}" for key in SURFACE_KEYS if key != "K+K"),
+        },
+        id="6-mods-mul-keeps-the-left-factor",
+    ),
+    pytest.param(
+        7,
+        "mw_sum",
+        lambda real: lambda surface, d1, d2: d1,
+        {"7.matrix-multiplicative", "7.matrix-matches-sum-law", "7.triangular-blocks"},
+        id="7-mw-sum-keeps-the-first-difference",
+    ),
+    pytest.param(
+        8,
+        "mw_act_h2",
+        _shifted_canon,
+        {"8.pairing-preserved", "8.composition-coefficient", "8.mod2-reduction"},
+        id="8-mw-act-h2-shifts-the-canonical-coefficient",
+    ),
+]
+
+
+@pytest.mark.parametrize("number,name,mutant,failing", MUTANTS)
+def test_families_6_to_8_catch_a_broken_library_call(monkeypatch, number, name, mutant, failing):
+    monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
+    rows = {r.name: r.passed for r in verify.run_criterion(number)}
+    assert f"{number}.aborted" not in rows
+    assert {row for row, passed in rows.items() if not passed} == failing
+    monkeypatch.undo()
+    assert all(r.passed for r in verify.run_criterion(number))
 
 
 def _faulted_e8s() -> list[GeometricLattice]:

@@ -4,10 +4,12 @@ import hashlib
 import io
 import json
 import re
+import runpy
 import subprocess
 import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from conelines import cli
 from conelines.homology_action import class_of_section
 from conelines.lattices import SexticType, build_lattice
 from conelines.mapping_class import translation_class
-from conftest import src_env
+from conftest import TYPE_KEYS, src_env
 
 #: sha256 of ``verify --format json`` (seed 0) and of ``verify --seed 42 --format json``.
 SEED_0_JSON_SHA256 = "db17ef3ec7ac735fd142823acd2461f357d57d7f71bfcb5b4809634e278cfe46"
@@ -285,6 +287,14 @@ def test_pinned_outputs_are_byte_identical(capsys):
         code, out = run(capsys, *argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_the_pins_script_covers_every_pinned_output():
+    # The script's list only; the commands themselves run above.
+    script = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "pins.py"))
+    commands = {argv for pin in script["PINS"] for argv in pin}
+    assert {(*script["CLI"], *argv) for argv in PINNED_OUTPUTS} <= commands
+    assert script["TYPE_KEYS"] == TYPE_KEYS
 
 
 def test_out_writes_the_rendering_to_a_file(tmp_path, capsys):

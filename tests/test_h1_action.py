@@ -42,6 +42,12 @@ ONE, TWO, FOUR = (SurfaceType.from_key(k) for k in ("K#T2", "K#2T2", "K#4T2"))
 #: (call, exception type, message) for inputs the public functions refuse.
 REJECTIONS = [
     pytest.param(
+        lambda: H1Class(2, (), 1),
+        ValueError,
+        "the fiber coefficient is 2-torsion: expected a bit",
+        id="class-fiber-not-a-bit",
+    ),
+    pytest.param(
         lambda: H1Delta(2, ((0, 0),)),
         ValueError,
         "the fiber coefficient is 2-torsion: expected a bit",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conelines.cli import gram_fault
 from conelines.intlinalg import smith_normal_form
-from conelines.lattices import enumerate_roots, norm, unit_vec, vectors_with_norm_at_least
+from conelines.lattices import enumerate_roots, norm, root_pairs, unit_vec, vectors_with_norm_at_least
 from conelines.mod2 import (
     Mod2Vector,
     NoRootLiftError,
@@ -26,7 +26,14 @@ from conelines.mod2 import (
     zero_residue,
 )
 from conelines.translations import coset_representative, shell_classes
-from conftest import FAULTED_IDS, TYPE_KEYS, assert_rejected, lattice_for, lattices_and_a_faulted_e8
+from conftest import (
+    FAULTED_IDS,
+    TYPE_KEYS,
+    assert_rejected,
+    lattice_for,
+    lattices_and_a_faulted_e8,
+    odd_residues_outside_r1,
+)
 
 #: (call, exception type, message) for inputs the public functions refuse.
 REJECTIONS = [
@@ -229,6 +236,28 @@ def test_shell_classes_match_a_count_over_fresh_residues(lattice):
     # is not such a lattice, so it catches that shortcut.
     from_q0 = Counter((q0(Mod2Vector(rep, lattice)), rep) for _, rep in classes)
     assert (from_q0 == expected) == all(q0(r) == 0 for r in radical)
+
+
+#: (root pairs, |W|) per lattice, in the order of ``lattices_and_a_faulted_e8``.
+ROOT_PAIRS_AND_W = (
+    *((n, n) for n in (120, 63, 30, 13, 4, 12, 12, 3, 2, 1, 0)),
+    (64, 127),
+)
+
+
+@pytest.mark.parametrize(
+    "lattice,sizes", zip(lattices_and_a_faulted_e8(), ROOT_PAIRS_AND_W), ids=FAULTED_IDS
+)
+def test_root_pairs_reduce_one_to_one_onto_w_except_on_the_faulted_e8(lattice, sizes):
+    # A second route to the census totals: W is counted from q0 and the Z/4
+    # form alone, and each root pair reduces to its own class of W.  On the
+    # faulted E8 (A1 + E7) the reduction is still one-to-one but misses
+    # most of W, so the two routes part.
+    images = [reduce_mod2(lattice, e) for e, _ in root_pairs(lattice)]
+    w = odd_residues_outside_r1(lattice)
+    assert len(set(images)) == len(images)
+    assert set(images) <= w
+    assert (len(images), len(w)) == sizes
 
 
 def _mod_2_split_at_norm_minus_4(lattice) -> tuple[int, int, int, Counter]:

@@ -10,15 +10,17 @@ from conelines.lattices import SexticType, UnsupportedTypeError, is_root, unit_v
 from conelines.mod2 import Mod2Vector, all_residues, radical_elements, reduce_mod2, zero_residue
 from conelines.tritangents import (
     TritangentType,
+    _code,
     boundary_delta,
     classify_root,
+    code_census,
     enumerate_tritangents,
     oval_bridge_split,
     pair_census,
     real_tritangent_total,
     type_census,
 )
-from conftest import TYPE_KEYS, assert_rejected, lattice_for
+from conftest import HANDLE_KEYS, TYPE_KEYS, assert_rejected, lattice_for, odd_residues_outside_r1
 
 TANGENCY_COUNT = {
     TritangentType.T0: 0,
@@ -168,6 +170,33 @@ def test_boundary_kernel_is_the_radical(key):
     ]
     kernel = [x for x in bridge_supported if boundary_delta(lattice, x).is_zero()]
     assert kernel == list(radical_elements(lattice))
+
+
+@pytest.mark.parametrize("key", HANDLE_KEYS)
+def test_the_residues_of_w_classify_to_the_census_without_a_root(key):
+    # A second route to the censuses: each residue of W (counted from q0
+    # and the Z/4 form, see conftest) gets classify_root's invariants and
+    # type rule without being lifted to a root.
+    lattice = lattice_for(key)
+    sextic = lattice.sextic
+    types, pairs, codes = Counter(), Counter(), Counter()
+    for x in odd_residues_outside_r1(lattice):
+        split = oval_bridge_split(lattice, x)
+        s_in = frozenset(lattice.oval_number(i) for i in split.v_oval.support())
+        boundary = boundary_delta(lattice, split.v_bridge)
+        s_tan = frozenset(lattice.oval_number(i) for i in boundary.support())
+        if s_tan:
+            ttype = (TritangentType.T1, TritangentType.T2, TritangentType.T3)[len(s_tan) - 1]
+        elif len(s_in) == 1 and split.v_bridge.is_zero():
+            ttype = TritangentType.T0_STAR
+        else:
+            ttype = TritangentType.T0
+        types[ttype] += 1
+        pairs[s_in, s_tan] += 1
+        codes[_code(sextic, ttype, s_in, s_tan).serialize()] += 1
+    assert {t: types[t] for t in TritangentType} == type_census(sextic)
+    assert dict(pairs) == pair_census(sextic)
+    assert codes == code_census(sextic)
 
 
 def test_cup_type_census_by_tangent_pattern():
