@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 from . import __version__, lattices
 from .homology_action import H1Class, action_matrix, class_coords, section_delta
 from .lattices import SexticType, SurfaceType, build_lattice
-from .mapping_class import ModSElement, translation_class
+from .mapping_class import ModSElement, _slots, translation_class
 from .mod2 import Mod2Vector
 from .tables import TABLES, Report, all_tables
 from .translations import H1Mod2Class, mw_act_h1_mod2
@@ -111,11 +111,7 @@ def _fmt_set(s: frozenset[int]) -> str:
 
 
 def _fmt_mods(g: ModSElement) -> str:
-    if g.surface.double_klein:
-        return f"swap={g.swap} shift={g.shift}"
-    if g.surface.handles == 0:
-        return f"fiber={g.fiber_twists}"
-    return f"half={g.half_twists} fiber={g.fiber_twists} split={g.split_twists}"
+    return " ".join(f"{slot.split('_')[0]}={getattr(g, slot)}" for slot in _slots(g.surface))
 
 
 # ---------------------------------------------------------------------------

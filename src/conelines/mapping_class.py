@@ -82,6 +82,13 @@ class ModSElement:
         raise ValueError(f"malformed element data for surface {self.surface}")
 
 
+def _slots(surface: SurfaceType) -> tuple[str, ...]:
+    """The exponent fields an element of the surface carries, in storage order."""
+    if surface.double_klein:
+        return ("swap", "shift")
+    return ("half_twists", "fiber_twists", "split_twists") if surface.handles else ("fiber_twists",)
+
+
 def _coordinates(
     surface: SurfaceType,
     half_twists: Sequence[int] = (),
@@ -121,20 +128,12 @@ def mods_element(
     """Build an element from raw exponents (empty tuples stand for zeros).
 
     The exponents go to linear coordinates and back, which reduces the
-    half twists to bits.  A slot the surface does not have must be empty
-    or zero.
+    half twists to bits.  A slot outside ``_slots(surface)`` must be
+    empty or zero.
     """
-    if surface.double_klein:
-        present = ("swap", "shift")
-    elif surface.handles:
-        present = ("half twists", "fiber twists", "split twists")
-    else:
-        present = ("fiber twists",)
-    raw = zip(
-        ("half twists", "fiber twists", "split twists", "swap", "shift"),
-        (half_twists, fiber_twists, split_twists, swap, shift),
-    )
-    absent = [slot for slot, value in raw if value and slot not in present]
+    slots = _slots(surface)
+    raw = zip(ModSElement.__match_args__[1:], (half_twists, fiber_twists, split_twists, swap, shift))
+    absent = [slot.replace("_", " ") for slot, value in raw if value and slot not in slots]
     if absent:
         raise ValueError(f"raw exponents in slots {surface} does not have: {', '.join(absent)}")
     coords = _coordinates(surface, half_twists, fiber_twists, split_twists, swap, shift)
@@ -216,11 +215,9 @@ def shift_components(surface: SurfaceType) -> ModSElement:
 
 
 def mods_delta(surface: SurfaceType) -> ModSElement:
-    """The unique element of order exactly 2 in the identity component story.
-
-    Built as the alternating product of the geometric half twists,
-    times an inverse fiber twist when the handle count is even.
-    """
+    """The group's one element of order 2: the alternating product of the
+    geometric half twists, times an inverse fiber twist when the handle
+    count is even."""
     if surface.double_klein:
         raise UnsupportedTypeError("the double Klein bottle has no distinguished involution")
     p = surface.handles
@@ -283,7 +280,7 @@ def _coordinate_relators(surface: SurfaceType) -> tuple[int, tuple[Vec, ...]]:
     """Ambient rank of the linear coordinates and the rows acting as zero:
     twice each Z/2 slot, which is the parity slot, or the swap and shift
     slots on the double Klein bottle."""
-    dim = len(linear_coordinates(mods_identity(surface)))
+    dim = len(_coordinates(surface))
     torsion = range(dim) if surface.double_klein else (dim - 1,)
     return dim, tuple(smul(2, unit_vec(dim, t)) for t in torsion)
 
@@ -324,10 +321,7 @@ def _basis_image(lattice: GeometricLattice, j: int, star: int) -> ModSElement:
         # Bridges between the two bands shift; the central one swaps,
         # possibly composed with a shift.
         if lattice.basis_names[j] == "B0":
-            g = swap_components(surface)
-            if star:
-                g = mods_mul(g, shift_components(surface))
-            return g
+            return mods_element(surface, swap=1, shift=star)
         return shift_components(surface)
     if j in lattice.oval_indices:
         i = lattice.oval_number(j)

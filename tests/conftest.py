@@ -2,6 +2,7 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import conelines
 from conelines.cli import gram_fault
@@ -30,6 +31,15 @@ def d4_band():
 
 def lattice_for(key: str):
     return build_lattice(SexticType.from_key(key))
+
+
+@st.composite
+def lattice_and_vectors(draw, count: int, bound: int):
+    """A lattice of some type, then ``count`` integer vectors on it with
+    entries in [-bound, bound]."""
+    lattice = lattice_for(draw(st.sampled_from(TYPE_KEYS)))
+    vec = st.lists(st.integers(-bound, bound), min_size=lattice.rank, max_size=lattice.rank)
+    return (lattice, *(tuple(draw(vec)) for _ in range(count)))
 
 
 #: Test ids of ``lattices_and_a_faulted_e8()``, in its order.

@@ -15,9 +15,15 @@ import sys
 import pytest
 
 from conelines import cli, verify
-from conelines.lattices import ALL_SEXTIC_TYPES, GeometricLattice
+from conelines.lattices import ALL_SEXTIC_TYPES, GeometricLattice, SexticType
+from conelines.mapping_class import (
+    fiber_twist,
+    from_linear_coordinates,
+    linear_coordinates,
+    split_twist,
+)
 from conelines.mod2 import q0
-from conftest import TYPE_KEYS, src_env
+from conftest import HANDLE_KEYS, TYPE_KEYS, src_env
 
 #: sha256 of the markdown reports of ``verify`` and ``verify --fault gram``
 #: at the default seed: the reports are byte-identical from run to run.
@@ -149,6 +155,26 @@ def _shifted_canon(act):
     return shifted
 
 
+def _negated_sum(real):
+    """Minus the sum of the coordinates: commutative but not associative,
+    and the real law wherever every coordinate is a bit mod 2."""
+
+    def law(a, b):
+        coords = zip(linear_coordinates(a), linear_coordinates(b))
+        return from_linear_coordinates(a.surface, tuple(-x - y for x, y in coords))
+
+    return law
+
+
+def test_negated_sum_fails_only_associativity():
+    law = _negated_sum(verify.mods_mul)
+    surface = SexticType.from_key("2|0").surface()
+    g, h, k = fiber_twist(surface, 1), fiber_twist(surface, 2), split_twist(surface, 1)
+    for a, b in ((g, h), (g, k), (h, k)):
+        assert law(a, b) == law(b, a)
+    assert law(law(g, h), k) != law(g, law(h, k))
+
+
 SURFACE_KEYS = tuple(s.surface().key for s in ALL_SEXTIC_TYPES)
 
 #: (family, name in verify, mutant of the real function, the rows it fails).
@@ -164,6 +190,17 @@ MUTANTS = [
             *(f"6.involution {key}" for key in SURFACE_KEYS if key != "K+K"),
         },
         id="6-mods-mul-keeps-the-left-factor",
+    ),
+    pytest.param(
+        6,
+        "mods_mul",
+        _negated_sum,
+        {
+            # every coordinate is a bit mod 2 on the handle-free surfaces
+            *(f"6.commutative-associative {SexticType.from_key(key).surface().key}" for key in HANDLE_KEYS),
+            *(f"6.translation-additive {key}" for key in HANDLE_KEYS),
+        },
+        id="6-mods-mul-negates-the-coordinate-sum",
     ),
     pytest.param(
         7,

@@ -21,7 +21,7 @@ from conelines.lattices import SexticType, build_lattice
 from conelines.mapping_class import translation_class
 from conftest import TYPE_KEYS, src_env
 
-#: sha256 of ``verify --format json`` (seed 0) and of ``verify --seed 42 --format json``.
+#: sha256 of ``verify --seed 0 --format json`` and of ``verify --seed 42 --format json``.
 SEED_0_JSON_SHA256 = "db17ef3ec7ac735fd142823acd2461f357d57d7f71bfcb5b4809634e278cfe46"
 SEED_42_JSON_SHA256 = "2dc1c235f5b281edca207c63a43e933fc46d7c319e30cdde23172ed77498d24f"
 
@@ -234,25 +234,18 @@ def test_a_bad_argument_exits_2_with_one_error_line(capsys, argv, line):
     assert captured.err.splitlines()[-1] == line
 
 
-def test_verify_report_shape_and_success(capsys):
-    code, out = run(capsys, "verify", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["columns"] == ["check", "status", "observed", "expected"]
-    assert {row[1] for row in doc["rows"]} == {"PASS"}
-    assert doc["rows"][-1][0] == "summary"
-    assert hashlib.sha256(out.encode()).hexdigest() == SEED_0_JSON_SHA256
-
-
-def test_verify_is_deterministic_for_a_fixed_seed(capsys):
-    code, out = run(capsys, "verify", "--seed", "42", "--format", "json")
+@pytest.mark.parametrize(
+    "seed,sha256", [("0", SEED_0_JSON_SHA256), ("42", SEED_42_JSON_SHA256)], ids=["seed-0", "seed-42"]
+)
+def test_verify_json_report_passes_and_is_pinned(capsys, seed, sha256):
+    code, out = run(capsys, "verify", "--seed", seed, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["columns"] == ["check", "status", "observed", "expected"]
     assert {row[1] for row in doc["rows"]} == {"PASS"}
     assert doc["rows"][-1][0] == "summary"
     # the report is a function of the seed alone, so its bytes are pinned
-    assert hashlib.sha256(out.encode()).hexdigest() == SEED_42_JSON_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 #: sha256 of the stdout of command lines whose output must not change.

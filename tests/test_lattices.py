@@ -39,7 +39,15 @@ from conelines.lattices import (
 )
 from conelines.mod2 import reduce_mod2
 from conelines.translations import shell_classes
-from conftest import FAULTED_IDS, TYPE_KEYS, assert_rejected, lattice_for, lattices_and_a_faulted_e8, src_env
+from conftest import (
+    FAULTED_IDS,
+    TYPE_KEYS,
+    assert_rejected,
+    lattice_and_vectors,
+    lattice_for,
+    lattices_and_a_faulted_e8,
+    src_env,
+)
 
 
 def _root_count(name: str) -> int:
@@ -55,26 +63,6 @@ def _root_count(name: str) -> int:
         count = {"A": n * (n + 1), "D": 2 * n * (n - 1), "E": {7: 126, 8: 240}.get(n)}[kind]
         total += int(times or 1) * count
     return total
-
-
-@st.composite
-def typed_vector(draw, bound=6):
-    key = draw(st.sampled_from(TYPE_KEYS))
-    lattice = lattice_for(key)
-    v = tuple(
-        draw(st.lists(st.integers(-bound, bound), min_size=lattice.rank, max_size=lattice.rank))
-    )
-    return lattice, v
-
-
-@st.composite
-def typed_vector_pair(draw, bound=6):
-    key = draw(st.sampled_from(TYPE_KEYS))
-    lattice = lattice_for(key)
-    size = lattice.rank
-    v = tuple(draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size)))
-    w = tuple(draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size)))
-    return lattice, v, w
 
 
 @pytest.mark.parametrize("key", TYPE_KEYS)
@@ -115,7 +103,7 @@ def test_canonical_root_pair_is_stable(d6):
         assert is_root(d6, plus) and is_root(d6, minus)
 
 
-@given(typed_vector_pair())
+@given(lattice_and_vectors(2, 6))
 def test_pairing_is_symmetric_and_bilinear(data):
     lattice, v, w = data
     assert pair(lattice, v, w) == pair(lattice, w, v)
@@ -147,7 +135,7 @@ def test_edge_list_pairing_equals_the_dense_form(lattice, data):
         pair(lattice, v, w + (0,))
 
 
-@given(typed_vector())
+@given(lattice_and_vectors(1, 6))
 @settings(max_examples=60)
 def test_root_reflections_preserve_the_form(data):
     lattice, v = data

@@ -43,7 +43,7 @@ from conelines.mapping_class import (
     translation_class,
 )
 from conelines.verify import _KERNEL_GENERATORS
-from conftest import HANDLE_KEYS, TYPE_KEYS, assert_rejected, lattice_for
+from conftest import HANDLE_KEYS, TYPE_KEYS, assert_rejected, lattice_and_vectors, lattice_for
 
 SURFACES = tuple(SexticType.from_key(k).surface() for k in TYPE_KEYS)
 
@@ -241,17 +241,7 @@ def test_every_integer_tuple_of_the_right_length_is_a_coordinate_tuple(data):
             from_linear_coordinates(surface, wrong)
 
 
-@st.composite
-def lattice_vector_pair(draw):
-    key = draw(st.sampled_from(TYPE_KEYS))
-    lattice = lattice_for(key)
-    size = lattice.rank
-    v = tuple(draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size)))
-    w = tuple(draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size)))
-    return lattice, v, w
-
-
-@given(lattice_vector_pair())
+@given(lattice_and_vectors(2, 4))
 @settings(max_examples=150)
 def test_translation_is_a_homomorphism(data):
     lattice, v, w = data
@@ -260,7 +250,7 @@ def test_translation_is_a_homomorphism(data):
     )
 
 
-@given(lattice_vector_pair())
+@given(lattice_and_vectors(2, 4))
 @example((lattice_for("|||"), (1, 0, 1, 1), ()))
 @example((lattice_for("0|4"), (), ()))
 @settings(max_examples=100)
@@ -274,7 +264,7 @@ def test_translations_land_in_the_image(data):
     assert w is not None and translation_class(lattice, w) == g
 
 
-@given(lattice_vector_pair())
+@given(lattice_and_vectors(2, 4))
 @settings(max_examples=100)
 def test_kernel_membership_means_trivial_class(data):
     lattice, v, _ = data

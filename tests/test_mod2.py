@@ -6,7 +6,6 @@ from collections import Counter
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from conelines.cli import gram_fault
 from conelines.intlinalg import smith_normal_form
@@ -30,6 +29,7 @@ from conftest import (
     FAULTED_IDS,
     TYPE_KEYS,
     assert_rejected,
+    lattice_and_vectors,
     lattice_for,
     lattices_and_a_faulted_e8,
     odd_residues_outside_r1,
@@ -70,23 +70,14 @@ def test_bad_inputs_are_rejected(call, error, message):
     assert_rejected(call, error, message)
 
 
-@st.composite
-def residue_pair(draw):
-    lattice = lattice_for(draw(st.sampled_from(TYPE_KEYS)))
-    size = lattice.rank
-    v = tuple(draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size)))
-    w = tuple(draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size)))
-    return lattice, v, w
-
-
-@given(residue_pair())
+@given(lattice_and_vectors(2, 4))
 def test_q0_is_a_quadratic_refinement(data):
     lattice, v, w = data
     x, y = reduce_mod2(lattice, v), reduce_mod2(lattice, w)
     assert (q0(x) + q0(y) + mod2_pair(x, y)) % 2 == q0(x + y)
 
 
-@given(residue_pair())
+@given(lattice_and_vectors(2, 4))
 def test_q0_reduces_the_integral_norm(data):
     lattice, v, _ = data
     assert q0(reduce_mod2(lattice, v)) == (norm(lattice, v) // 2) % 2
