@@ -49,14 +49,18 @@ class H1Class:
 
     def __post_init__(self) -> None:
         _check_frame(self.fiber_bit, self.pairs)
+        if type(self.line_coeff) is not int:
+            raise ValueError(f"the section coefficient is an int, not {self.line_coeff!r}")
 
 
 def _check_frame(fiber_bit: int, pairs: tuple[tuple[int, int], ...]) -> None:
-    """Refuse a fiber coefficient that is not a bit, then handle coefficients
-    that are not a tuple of two-item tuples."""
-    if fiber_bit not in (0, 1):
+    """Refuse a fiber coefficient that is not an ``int`` bit, then handle
+    coefficients that are not a tuple of tuples of two ``int``s."""
+    if type(fiber_bit) is not int or fiber_bit not in (0, 1):
         raise ValueError("the fiber coefficient is 2-torsion: expected a bit")
-    if type(pairs) is not tuple or any(type(pair) is not tuple or len(pair) != 2 for pair in pairs):
+    if type(pairs) is not tuple or any(
+        type(pair) is not tuple or tuple(map(type, pair)) != (int, int) for pair in pairs
+    ):
         raise ValueError(f"the handle coefficients are a tuple of pairs, not {pairs!r}")
 
 

@@ -141,11 +141,11 @@ class SexticType:
 
     @classmethod
     def from_key(cls, key: str) -> "SexticType":
-        """Parse a ``p|q`` string or the literal ``|||``."""
+        """Parse a ``p|q`` string of two ASCII digits or the literal ``|||``."""
         key = key.strip()
         if key == "|||":
             return cls(0, 0, bands=True)
-        m = re.fullmatch(r"(\d)\|(\d)", key)
+        m = re.fullmatch(r"([0-9])\|([0-9])", key)
         if m is None:
             raise ValueError(f"cannot parse sextic type {key!r}")
         return cls(int(m.group(1)), int(m.group(2)))

@@ -64,7 +64,8 @@ class ModSElement:
     double Klein bottle carry a single fiber-twist parity; the double
     Klein bottle carries the two commuting involutions ``swap`` and
     ``shift`` of its components.  The constructor checks one rule: the data
-    is its own normal form (``_normal_exponents`` of its coordinates).
+    is made of ``int``s and is its own normal form (``_normal_exponents`` of
+    its coordinates).
     """
 
     surface: SurfaceType
@@ -77,9 +78,16 @@ class ModSElement:
     def __post_init__(self) -> None:
         data = (self.half_twists, self.fiber_twists, self.split_twists, self.swap, self.shift)
         with suppress(ValueError, TypeError):
-            if data == _normal_exponents(self.surface, _coordinates(self.surface, *data)):
+            if _integral(*data) and data == _normal_exponents(self.surface, _coordinates(self.surface, *data)):
                 return
         raise ValueError(f"malformed element data for surface {self.surface}")
+
+
+def _integral(
+    half_twists: Sequence[int], fiber_twists: Sequence[int], split_twists: Sequence[int], swap: int, shift: int
+) -> bool:
+    """Whether every raw exponent is an ``int``."""
+    return all(type(x) is int for x in (*half_twists, *fiber_twists, *split_twists, swap, shift))
 
 
 def _slots(surface: SurfaceType) -> tuple[str, ...]:
@@ -128,14 +136,16 @@ def mods_element(
     """Build an element from raw exponents (empty tuples stand for zeros).
 
     The exponents go to linear coordinates and back, which reduces the
-    half twists to bits.  A slot outside ``_slots(surface)`` must be
-    empty or zero.
+    half twists to bits.  Every exponent is an ``int``, and a slot
+    outside ``_slots(surface)`` must be empty or zero.
     """
     slots = _slots(surface)
     raw = zip(ModSElement.__match_args__[1:], (half_twists, fiber_twists, split_twists, swap, shift))
     absent = [slot.replace("_", " ") for slot, value in raw if value and slot not in slots]
     if absent:
         raise ValueError(f"raw exponents in slots {surface} does not have: {', '.join(absent)}")
+    if not _integral(half_twists, fiber_twists, split_twists, swap, shift):
+        raise ValueError(f"malformed element data for surface {surface}")
     coords = _coordinates(surface, half_twists, fiber_twists, split_twists, swap, shift)
     return from_linear_coordinates(surface, coords)
 
@@ -157,6 +167,8 @@ def mods_inv(a: ModSElement) -> ModSElement:
 
 def mods_pow(a: ModSElement, k: int) -> ModSElement:
     """The k-th power: the group is abelian, so it scales the coordinates."""
+    if type(k) is not int:
+        raise ValueError(f"a power takes an int exponent, not {k!r}")
     return from_linear_coordinates(a.surface, tuple(k * x for x in linear_coordinates(a)))
 
 

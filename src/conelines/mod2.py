@@ -41,7 +41,7 @@ class Mod2Vector:
             raise ValueError(f"the bits of a residue are a tuple, not {self.bits!r}")
         if len(self.bits) != self.lattice.rank:
             raise ValueError("bit length does not match the lattice rank")
-        if not _BITS.issuperset(self.bits):
+        if not _BITS.issuperset(self.bits) or any(type(b) is not int for b in self.bits):
             raise ValueError("bits must be 0 or 1")
 
     def __add__(self, other: "Mod2Vector") -> "Mod2Vector":

@@ -82,7 +82,7 @@ class H1Mod2Class:
     nu: int
 
     def __post_init__(self) -> None:
-        if self.mu not in (0, 1) or self.nu not in (0, 1):
+        if any(type(b) is not int or b not in (0, 1) for b in (self.mu, self.nu)):
             raise ValueError("mu and nu must be bits")
         object.__setattr__(self, "v_part", coset_representative(self.v_part))
 

@@ -11,7 +11,7 @@ from conelines.mod2 import all_residues, in_radical, q0, q_on_R
 
 TYPE_KEYS = tuple(s.key for s in ALL_SEXTIC_TYPES)
 
-HANDLE_KEYS = ("4|0", "3|0", "2|0", "1|0", "1|1")
+HANDLE_KEYS = tuple(s.key for s in ALL_SEXTIC_TYPES if s.surface().handles)
 
 
 @pytest.fixture(scope="session")

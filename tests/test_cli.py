@@ -1,6 +1,5 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
-import hashlib
 import io
 import json
 import re
@@ -21,9 +20,7 @@ from conelines.lattices import SexticType, build_lattice
 from conelines.mapping_class import translation_class
 from conftest import TYPE_KEYS, src_env
 
-#: sha256 of ``verify --seed 0 --format json`` and of ``verify --seed 42 --format json``.
-SEED_0_JSON_SHA256 = "db17ef3ec7ac735fd142823acd2461f357d57d7f71bfcb5b4809634e278cfe46"
-SEED_42_JSON_SHA256 = "2dc1c235f5b281edca207c63a43e933fc46d7c319e30cdde23172ed77498d24f"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -220,8 +217,12 @@ def test_act_dimension_mismatches(capsys):
             "conelines: error: --seed must fit in an unsigned 64-bit integer",
         ),
         (("classify", "1|"), "error: cannot parse sextic type '1|'"),
+        # the keys are spelled as the tables print them: ASCII digits only
+        (("classify", "\uff14|0"), "error: cannot parse sextic type '\uff14|0'"),
+        (("classify", "\u0664|0"), "error: cannot parse sextic type '\u0664|0'"),
     ],
-    ids=["class-not-integers", "empty-class", "mod2-class-length", "seed-too-large", "unparsed-type"],
+    ids=["class-not-integers", "empty-class", "mod2-class-length", "seed-too-large", "unparsed-type"]
+    + ["fullwidth-digit-type", "arabic-indic-digit-type"],
 )
 def test_a_bad_argument_exits_2_with_one_error_line(capsys, argv, line):
     try:
@@ -234,60 +235,28 @@ def test_a_bad_argument_exits_2_with_one_error_line(capsys, argv, line):
     assert captured.err.splitlines()[-1] == line
 
 
+#: ``scripts/pins.py``: the one table of pinned outputs and the rule that hashes them.
+PINS = runpy.run_path(str(ROOT / "scripts" / "pins.py"))
+
+
 @pytest.mark.parametrize(
-    "seed,sha256", [("0", SEED_0_JSON_SHA256), ("42", SEED_42_JSON_SHA256)], ids=["seed-0", "seed-42"]
+    "commands, code, sha256", PINS["PINS"], ids=[PINS["command_text"](pin[0]) for pin in PINS["PINS"]]
 )
-def test_verify_json_report_passes_and_is_pinned(capsys, seed, sha256):
-    code, out = run(capsys, "verify", "--seed", seed, "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["columns"] == ["check", "status", "observed", "expected"]
-    assert {row[1] for row in doc["rows"]} == {"PASS"}
-    assert doc["rows"][-1][0] == "summary"
-    # the report is a function of the seed alone, so its bytes are pinned
-    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+def test_pinned_output(monkeypatch, capsys, commands, code, sha256):
+    """Each pin, run in this process: ``-m conelines`` lines go to
+    ``cli.main``, script lines to the script's ``main``."""
+    # the script keeps its own literal, to stay standard-library-only
+    assert PINS["TYPE_KEYS"] == TYPE_KEYS
 
+    def run(argv):
+        if argv[:2] == PINS["CLI"]:
+            status = cli.main(list(argv[2:]))
+        else:
+            monkeypatch.setattr(sys, "argv", list(argv))
+            status = runpy.run_path(str(ROOT / argv[0]))["main"]()
+        return capsys.readouterr().out.encode(), status
 
-#: sha256 of the stdout of command lines whose output must not change.
-PINNED_OUTPUTS = {
-    ("tables", "all", "--format", "json"): "47b5e1916c44375d3a0bc586c5ec8860956bc84b1bf84018630d58c518f512e7",
-    # the csv rendering joins the reports with a blank line
-    ("tables", "all", "--format", "csv"): "5f0a7ed6d4d6edd79110a5a5f061ec2024f39105655581d5c94d2e4c374f1e5a",
-    ("classify", "4|0", "--format", "json"): "8275cf8a0708de02f37150e9f54c3dabcf1cc415b0206539967fb8c1f82f6a5e",
-    ("classify", "3|0", "--format", "json"): "ead7a1ae5fb5059ccf66a2293d3d698e8273cd5023ec402275b1b194724ba1d0",
-    ("classify", "2|0", "--format", "json"): "3347407ae87d1993f8ddb0cc4552e028a765ee268c1660da5a6cf1da3f0cbc56",
-    ("classify", "1|0", "--format", "json"): "43a5906ca8d2ea33dbe407699c54578777bf0a1eb5cb5ba38d2ee3f81238b0d9",
-    ("classify", "0|0", "--format", "json"): "4242b7eefe542ddd0404faf9c91227dee57d29901113837be47ee0c1e2ffa996",
-    ("classify", "1|1", "--format", "json"): "c29638ea8f2dce66e590b09a7ab0648e4b4bf21108a2e6262cc4dd652b47a4af",
-    ("classify", "|||", "--format", "json"): "72b3ca10351573065d2907ed5228b378cb44439974672f10d43656681ee7bc7e",
-    ("classify", "0|1", "--format", "json"): "2562a8c2df3e7bfeb61489b6654642e5fbcc7ed3ebb7c865952431d01fa7f24e",
-    ("classify", "0|2", "--format", "json"): "866f83fb35ded5cf16b3a9394fe32d0850751cf6135826ce6eb7f3a65b1f5c39",
-    ("classify", "0|3", "--format", "json"): "b68a82dcad3e6661454282b939ba2e55645abc304ec128e1c12c855bb3c238f9",
-    ("classify", "0|4", "--format", "json"): "ce1c9a9c59ca36672ad907ea01a577f2d46756bc5daa6317d1213e683cfa7750",
-    # the README examples
-    ("act", "K#T2", "0,1,0,0,0", "0,0,0,1"): "235548e59382fed9e379216ae6fd4b93152b25fd1c9826c24144d277d962356e",
-    ("act", "K#T2", "0,1,0,0,0", "0,0,1,0,0,0,1", "--mod2"): "369dfb5b364e2e9f8c9310f42af330bb65a9fe7f36de8acf5d1284a658a636fe",
-    ("act", "K#T2", "-3,-1,1,0,0", "1,0,1,1"): "901f33356fc71b44f1503f11df7125bcc2bfc9f66048b514727feed96736034f",
-    # the last half twist carries into the first handle's fiber twist
-    ("act", "K#4T2", "0,0,0,0,0,0,1,0", "0,0,0,0,0,0,0,0,0,1"): "2fe069e20f116b01bce74fcc2f80af44986921caa8bbf0e14b4edc3d44b90a12",
-    ("act", "K+K", "1,1,0,1", "1,0,1,1,0,1", "--mod2"): "b89108cf981bf836f5a0349a4b24eb321f7632cb42638a37c206590f094c2bf6",
-    ("act", "K+2S2", "3,-1", "1,1"): "583bcc240972a5146e1fecbe6601190dae93c5e16459a40ee9f736cd555e62b4",
-}
-
-
-def test_pinned_outputs_are_byte_identical(capsys):
-    for argv, digest in PINNED_OUTPUTS.items():
-        code, out = run(capsys, *argv)
-        assert code == 0, argv
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
-
-
-def test_the_pins_script_covers_every_pinned_output():
-    # The script's list only; the commands themselves run above.
-    script = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "pins.py"))
-    commands = {argv for pin in script["PINS"] for argv in pin}
-    assert {(*script["CLI"], *argv) for argv in PINNED_OUTPUTS} <= commands
-    assert script["TYPE_KEYS"] == TYPE_KEYS
+    assert PINS["run_pin"](commands, run) == (sha256, code)
 
 
 def test_out_writes_the_rendering_to_a_file(tmp_path, capsys):

@@ -119,6 +119,15 @@ REJECTIONS = [
         "the handle coefficients are a tuple of pairs, not ([1, 1],)",
         id="delta-pair-not-a-tuple",
     ),
+    pytest.param(
+        lambda: H1Class(1.0, (), 1), ValueError, "the fiber coefficient is 2-torsion: expected a bit", id="class-fiber-1.0"
+    ),
+    pytest.param(
+        lambda: H1Delta(0, ((0.5, 1),)), ValueError, "the handle coefficients are a tuple of pairs, not ((0.5, 1),)", id="pair-0.5"
+    ),
+    pytest.param(
+        lambda: H1Class(0, (), 1.0), ValueError, "the section coefficient is an int, not 1.0", id="class-section-1.0"
+    ),
 ]
 
 

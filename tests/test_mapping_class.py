@@ -117,6 +117,18 @@ REJECTIONS = [
         "no translation rule for basis class B2 of D6 (2|0)",
         id="translation-class-unexpected-adjacency",
     ),
+    pytest.param(
+        lambda: mods_element(TWO, (0.5, 0)), ValueError, "malformed element data for surface K#2T2", id="half-twist-0.5"
+    ),
+    pytest.param(
+        lambda: mods_element(K_K, swap=1.5), ValueError, "malformed element data for surface K+K", id="swap-1.5"
+    ),
+    pytest.param(
+        lambda: ModSElement(ONE, (0,), (0,), (0.5,)), ValueError, "malformed element data for surface K#T2", id="split-0.5"
+    ),
+    pytest.param(
+        lambda: mods_pow(fiber_twist(TWO, 1), 0.5), ValueError, "a power takes an int exponent, not 0.5", id="power-0.5"
+    ),
 ]
 
 

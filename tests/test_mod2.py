@@ -62,6 +62,9 @@ REJECTIONS = [
         "the bits of a residue are a tuple, not [1, 0, 0, 0, 0, 0]",
         id="residue-bits-not-a-tuple",
     ),
+    pytest.param(
+        lambda: Mod2Vector((1.0, 0, 0, 0, 0, 0, 0, 0), lattice_for("4|0")), ValueError, "bits must be 0 or 1", id="bit-1.0"
+    ),
 ]
 
 
