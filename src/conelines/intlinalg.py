@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import mul
 
 Matrix = list[list[int]]
 Rows = Sequence[Sequence[int]]
@@ -27,14 +28,10 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a: Rows, b: Rows) -> Matrix:
-    if a and b and len(a[0]) != len(b):
+    if b and any(len(row) != len(b) for row in a):
         raise ValueError("inner dimensions differ")
-    inner = len(b)
-    width = len(b[0]) if b else 0
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(width)]
-        for row in a
-    ]
+    columns = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt, lcm
+from operator import add, mul, neg
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -54,15 +55,17 @@ Vec = tuple[int, ...]
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vector length mismatch: {len(a)} and {len(b)}")
+    return tuple(map(add, a, b))
 
 
 def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def smul(c: int, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
+    return tuple(map(mul, itertools.repeat(c), a))
 
 
 def unit_vec(rank: int, i: int) -> Vec:
@@ -75,6 +78,10 @@ class UnsupportedTypeError(ValueError):
 
 # ---------------------------------------------------------------------------
 # topological type tags
+
+#: The blanks a type key may carry around it: ASCII whitespace, as
+#: ``string.whitespace``, and no other Unicode space.
+_BLANKS = " \t\n\r\x0b\x0c"
 
 #: (basis names, adjacency edges, lattice name) per type key, in the published
 #: order: the one list of the types.  A basis class named ``O<i>`` is the i-th
@@ -141,8 +148,9 @@ class SexticType:
 
     @classmethod
     def from_key(cls, key: str) -> "SexticType":
-        """Parse a ``p|q`` string of two ASCII digits or the literal ``|||``."""
-        key = key.strip()
+        """Parse a ``p|q`` string of two ASCII digits or the literal ``|||``
+        (surrounding ASCII blanks ignored)."""
+        key = key.strip(_BLANKS)
         if key == "|||":
             return cls(0, 0, bands=True)
         m = re.fullmatch(r"([0-9])\|([0-9])", key)
@@ -210,9 +218,10 @@ class SurfaceType:
 
     @classmethod
     def from_key(cls, key: str) -> "SurfaceType":
-        """The surface type spelled exactly ``key`` (surrounding blanks ignored)."""
+        """The surface type spelled exactly ``key`` (surrounding ASCII blanks ignored)."""
+        key = key.strip(_BLANKS)
         for surface in ALL_SURFACE_TYPES:
-            if surface.key == key.strip():
+            if surface.key == key:
                 return surface
         raise ValueError(f"cannot parse surface type {key!r}")
 

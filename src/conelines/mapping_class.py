@@ -15,7 +15,9 @@ sends these relators to zero, and the drifts, the split-twist exponents
 and the total fiber-twist parity identify the group with Z^2p x Z/2.
 These linear coordinates are the group's one coordinate system: the
 group law, the normal form of raw exponents (half twists reduced to
-bits) and the translation map are all sums in them.  The normal form is
+bits) and the translation map are all sums in them.  An element stores
+its surface and its coordinates, and compares and hashes by them; its
+exponents are worked out from them when first read.  The normal form is
 also the only definition of a well-formed element: outside data must be
 its own normal form, and elements built from coordinates are trusted.
 
@@ -54,33 +56,68 @@ from .lattices import (
 )
 
 
-@dataclass(frozen=True)
-class ModSElement:
-    """A fiberwise mapping class, in normalized generator exponents.
+class _Exponent:
+    """One exponent field of ``ModSElement``, kept in the instance once set.
 
-    For a surface with p >= 1 handles the data is one bit per handle
-    (half twists), one integer per handle (fiber twists) and one integer
-    per handle (split twists).  Handle-free surfaces other than the
-    double Klein bottle carry a single fiber-twist parity; the double
-    Klein bottle carries the two commuting involutions ``swap`` and
+    An element built from coordinates sets none of them: the first read
+    works out all five from the stored coordinates.  Read on the class,
+    the field gives its default.
+    """
+
+    def __init__(self, default: object) -> None:
+        self.default = default
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, g: ModSElement | None, owner: type | None = None) -> object:
+        if g is None:
+            return self.default
+        vars(g).update(zip(ModSElement.__match_args__[1:], _normal_exponents(g.surface, g._coords)))
+        return vars(g)[self.name]
+
+
+@dataclass(frozen=True, eq=False)
+class ModSElement:
+    """A fiberwise mapping class: its surface and its linear coordinates.
+
+    The coordinates are stored with each Z/2 slot reduced mod 2, and they
+    decide equality and hash.  The fields are the normalized generator
+    exponents; an element built from coordinates works them out when one
+    is first read.  For a surface with p >= 1 handles the data is one bit
+    per handle (half twists), one integer per handle (fiber twists) and
+    one integer per handle (split twists).  Handle-free surfaces other
+    than the double Klein bottle carry a single fiber-twist parity; the
+    double Klein bottle carries the two commuting involutions ``swap`` and
     ``shift`` of its components.  The constructor checks one rule: the data
     is made of ``int``s and is its own normal form (``_normal_exponents`` of
     its coordinates).
     """
 
     surface: SurfaceType
-    half_twists: tuple[int, ...] = ()
-    fiber_twists: tuple[int, ...] = ()
-    split_twists: tuple[int, ...] = ()
-    swap: int = 0
-    shift: int = 0
+    half_twists: tuple[int, ...] = _Exponent(())
+    fiber_twists: tuple[int, ...] = _Exponent(())
+    split_twists: tuple[int, ...] = _Exponent(())
+    swap: int = _Exponent(0)
+    shift: int = _Exponent(0)
 
     def __post_init__(self) -> None:
         data = (self.half_twists, self.fiber_twists, self.split_twists, self.swap, self.shift)
         with suppress(ValueError, TypeError):
-            if _integral(*data) and data == _normal_exponents(self.surface, _coordinates(self.surface, *data)):
-                return
+            if _integral(*data):
+                coords = _coordinates(self.surface, *data)
+                if data == _normal_exponents(self.surface, coords):
+                    object.__setattr__(self, "_coords", coords)
+                    return
         raise ValueError(f"malformed element data for surface {self.surface}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ModSElement:
+            return NotImplemented
+        return self._coords == other._coords and self.surface == other.surface
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self._coords))
 
 
 def _integral(
@@ -169,7 +206,7 @@ def mods_pow(a: ModSElement, k: int) -> ModSElement:
     """The k-th power: the group is abelian, so it scales the coordinates."""
     if type(k) is not int:
         raise ValueError(f"a power takes an int exponent, not {k!r}")
-    return from_linear_coordinates(a.surface, tuple(k * x for x in linear_coordinates(a)))
+    return from_linear_coordinates(a.surface, smul(k, linear_coordinates(a)))
 
 
 def _check_handle_index(surface: SurfaceType, i: int) -> None:
@@ -249,30 +286,26 @@ def linear_coordinates(g: ModSElement) -> tuple[int, ...]:
     sums of fiber twists), the p split-twist integers, and the total
     fiber-twist parity.  The map is an isomorphism of groups onto
     Z^2p x Z/2; handle-free surfaces give the single twist bit, and the
-    double Klein bottle gives (swap, shift).
+    double Klein bottle gives (swap, shift).  The element stores them.
     """
-    return _coordinates(g.surface, g.half_twists, g.fiber_twists, g.split_twists, g.swap, g.shift)
+    return g._coords
 
 
 def _normal_exponents(
     surface: SurfaceType, coords: Sequence[int]
 ) -> tuple[Vec, Vec, Vec, int, int]:
     """The normal exponents (half, fiber and split twists, swap, shift)
-    with the given linear coordinates: the inverse of ``_coordinates``.
+    with the given normalized linear coordinates: the inverse of
+    ``_coordinates``.
 
-    Any integer tuple of the right length is accepted; the parity slot
-    (or the swap/shift bits) is read mod 2.  Each half-twist bit is
-    kappa_i = (d_i + parity) mod 2, which makes every difference halved
-    below even, so the fiber twists are integers.
+    Each half-twist bit is kappa_i = (d_i + parity) mod 2, which makes
+    every difference halved below even, so the fiber twists are integers.
     """
     p = surface.handles
-    dim = 2 if surface.double_klein else 2 * p + 1
-    if len(coords) != dim:
-        raise ValueError(f"expected {dim} coordinates")
     if surface.double_klein:
-        return (), (), (), coords[0] % 2, coords[1] % 2
+        return (), (), (), coords[0], coords[1]
     if p == 0:
-        return (), (coords[0] % 2,), (), 0, 0
+        return (), (coords[0],), (), 0, 0
     kappa = tuple((d + coords[2 * p]) % 2 for d in coords[:p])
     # 2 (n_1 + ... + n_i) - total; the last one is the total itself.
     sums = [d - k for d, k in zip(coords, kappa)]
@@ -281,10 +314,19 @@ def _normal_exponents(
 
 
 def from_linear_coordinates(surface: SurfaceType, coords: Sequence[int]) -> ModSElement:
-    """The element with the given linear coordinates: the one normal form.
-    Its data is normal by construction, so it skips the constructor's check."""
+    """The element with the given linear coordinates, each Z/2 slot read mod 2.
+
+    It stores them and skips the constructor's check; its exponents, the
+    one normal form, are worked out when first read.
+    """
+    dim = 2 if surface.double_klein else 2 * surface.handles + 1
+    if len(coords) != dim:
+        raise ValueError(f"expected {dim} coordinates")
+    # The Z/2 slots: swap and shift on the double Klein bottle, else the parity.
+    last = coords[-1] % 2
+    normal = (coords[0] % 2, last) if surface.double_klein else (*coords[:-1], last)
     g = object.__new__(ModSElement)
-    vars(g).update(zip(ModSElement.__match_args__, (surface, *_normal_exponents(surface, coords))))
+    vars(g).update(surface=surface, _coords=normal)
     return g
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 
 from .lattices import (
     GeometricLattice,
@@ -24,21 +26,24 @@ from .lattices import (
     Vec,
     _checked_floor,
     build_lattice,
-    norm,
-    pair,
-    vadd,
-    smul,
 )
 from .mod2 import Bits, Mod2Vector, mod2_pair, q0, radical_elements, reduce_mod2
 
 
 def mw_act_h2(lattice: GeometricLattice, w: Vec, x: H2ClassX) -> H2ClassX:
-    """Transvection by a lattice vector on the fiber/vanishing/section frame."""
-    k = norm(lattice, w) // 2
+    """Transvection by a lattice vector on the fiber/vanishing/section frame.
+
+    The lengths are checked once, here, and the lattice's pairing and norm
+    kernels are called directly.
+    """
+    n, v, line = lattice.rank, x.lattice_part, x.line
+    if len(v) != n or len(w) != n:
+        raise ValueError(f"coordinate length mismatch: rank {n}, got {len(v)} and {len(w)}")
+    k = lattice._norm_kernel(w) // 2
     return H2ClassX(
-        x.canon + pair(lattice, x.lattice_part, w) + k * x.line,
-        vadd(x.lattice_part, smul(x.line, w)),
-        x.line,
+        x.canon + lattice._pair_kernel(v, w) + k * line,
+        tuple(map(add, v, map(mul, repeat(line), w))),
+        line,
     )
 
 

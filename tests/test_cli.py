@@ -220,9 +220,12 @@ def test_act_dimension_mismatches(capsys):
         # the keys are spelled as the tables print them: ASCII digits only
         (("classify", "\uff14|0"), "error: cannot parse sextic type '\uff14|0'"),
         (("classify", "\u0664|0"), "error: cannot parse sextic type '\u0664|0'"),
+        # only ASCII blanks around a key are ignored, not an ideographic space
+        (("classify", "\u30004|0"), "error: cannot parse sextic type '\\u30004|0'"),
+        (("act", "\u3000K#T2", "0,1,0,0,0", "0,0,0,1"), "error: cannot parse surface type '\\u3000K#T2'"),
     ],
     ids=["class-not-integers", "empty-class", "mod2-class-length", "seed-too-large", "unparsed-type"]
-    + ["fullwidth-digit-type", "arabic-indic-digit-type"],
+    + ["fullwidth-digit-type", "arabic-indic-digit-type", "ideographic-space-type", "ideographic-space-surface"],
 )
 def test_a_bad_argument_exits_2_with_one_error_line(capsys, argv, line):
     try:
@@ -233,6 +236,12 @@ def test_a_bad_argument_exits_2_with_one_error_line(capsys, argv, line):
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == line
+
+
+def test_ascii_blanks_around_a_key_are_ignored(capsys):
+    for key in ("4|0 ", " 4|0\t\n"):
+        assert run(capsys, "classify", key) == run(capsys, "classify", "4|0")
+    assert run(capsys, "act", "K#T2 ", "0,1,0,0,0", "0,0,0,1") == run(capsys, "act", "K#T2", "0,1,0,0,0", "0,0,0,1")
 
 
 #: ``scripts/pins.py``: the one table of pinned outputs and the rule that hashes them.

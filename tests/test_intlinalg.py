@@ -2,7 +2,7 @@
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -36,6 +36,9 @@ small_matrix = st.integers(1, 4).flatmap(
 REJECTIONS = [
     pytest.param(lambda: mat_mul([[1, 2]], [[1, 2]]), ValueError, "inner dimensions differ", id="mat-mul"),
     pytest.param(
+        lambda: mat_mul([[1, 2], [1, 2, 3]], [[1], [2]]), ValueError, "inner dimensions differ", id="mat-mul-ragged"
+    ),
+    pytest.param(
         lambda: solve_left([[1, 2]], (1,)), ValueError, "right-hand side has wrong length", id="solve-left"
     ),
     pytest.param(
@@ -50,6 +53,28 @@ REJECTIONS = [
 @pytest.mark.parametrize("call,error,message", REJECTIONS)
 def test_bad_inputs_are_rejected(call, error, message):
     assert_rejected(call, error, message)
+
+
+@st.composite
+def conformable_pair(draw):
+    """An m x n matrix a, an n x p matrix b and p; any of m, n, p may be 0,
+    and a b with no rows has width 0."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    p = draw(st.integers(0, 4)) if n else 0
+    entries = st.integers(-9, 9)
+    a = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entries, min_size=p, max_size=p), min_size=n, max_size=n))
+    return a, b, p
+
+
+@given(conformable_pair())
+@example(([], [[1, 2]], 2))
+@example(([[1], [2]], [[]], 0))
+@settings(max_examples=200)
+def test_mat_mul_is_the_textbook_triple_sum(case):
+    a, b, p = case
+    n = len(b)
+    assert mat_mul(a, b) == [[sum(row[k] * b[k][j] for k in range(n)) for j in range(p)] for row in a]
 
 
 def _det_is_unit(rows):

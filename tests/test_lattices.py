@@ -6,13 +6,14 @@ import itertools
 import keyword
 import random
 import re
+import string
 import subprocess
 import sys
 import tokenize
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conelines.cli import gram_fault
@@ -33,6 +34,7 @@ from conelines.lattices import (
     pairing_x,
     reflect,
     root_pairs,
+    smul,
     vadd,
     vectors_with_norm_at_least,
     vneg,
@@ -307,6 +309,16 @@ def test_a_refused_sextic_type_keeps_its_message(call, message):
     assert_rejected(call, ValueError, message)
 
 
+def test_only_ascii_blanks_around_a_key_are_ignored():
+    for blank in string.whitespace:
+        assert SexticType.from_key(f"{blank}4|0{blank}") == SexticType(4, 0)
+        assert SurfaceType.from_key(f"{blank}K+K{blank}") == SexticType(0, 0, True).surface()
+    for space in ("\u3000", "\u00a0", "\u2003", "\x1c"):
+        sextic_key, surface_key = f"{space}4|0", f"K+K{space}"
+        assert_rejected(lambda: SexticType.from_key(sextic_key), ValueError, f"cannot parse sextic type {sextic_key!r}")
+        assert_rejected(lambda: SurfaceType.from_key(surface_key), ValueError, f"cannot parse surface type {surface_key!r}")
+
+
 def test_section_classes_self_pair_to_minus_one(e8):
     fiber = fiber_class_x(e8)
     base = base_line_class_x(e8)
@@ -415,6 +427,29 @@ def test_the_kernels_agree_with_the_gram_matrix(lattice):
     for wrong in ((0,) * (n + 1), (1,) * (n + 2)):
         with pytest.raises(ValueError, match=f"coordinate length mismatch: rank {n}, got {len(wrong)}"):
             norm(lattice, wrong)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: vadd((1, 2), (1, 2, 3)), "vector length mismatch: 2 and 3"),
+        (lambda: vadd((1,), ()), "vector length mismatch: 1 and 0"),
+    ],
+    ids=["vadd-shorter-first", "vadd-empty-second"],
+)
+def test_vadd_refuses_vectors_of_different_lengths(call, message):
+    assert_rejected(call, ValueError, message)
+
+
+@given(st.integers(-9, 9), st.lists(st.integers(-(10**6), 10**6), max_size=10))
+@example(3, [])
+@example(0, [5, -7, 2])
+@settings(max_examples=200)
+def test_vector_helpers_match_their_comprehensions(c, entries):
+    a, b = tuple(entries), tuple(reversed(entries))
+    assert smul(c, a) == tuple(c * x for x in a)
+    assert vadd(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert vneg(a) == tuple(-x for x in a)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Fiberwise mapping classes: group laws and the translation map."""
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -56,6 +58,9 @@ REJECTIONS = [
         ValueError,
         "elements live on different surfaces",
         id="mods-mul-across-surfaces",
+    ),
+    pytest.param(
+        lambda: from_linear_coordinates(ONE, (0, 0)), ValueError, "expected 3 coordinates", id="coordinate-count"
     ),
     pytest.param(
         lambda: split_twist(TWO, 3), ValueError, "handle index 3 out of range for K#2T2", id="handle-index"
@@ -463,7 +468,8 @@ def _malformed_cases():
 
 @pytest.mark.parametrize("surface,slot,bad", _malformed_cases())
 def test_malformed_elements_are_rejected(surface, slot, bad):
-    data = {**vars(mods_identity(surface)), slot: bad}
+    one = mods_identity(surface)
+    data = {**{f.name: getattr(one, f.name) for f in dataclasses.fields(one)}, slot: bad}
     with pytest.raises(ValueError, match="malformed element data"):
         ModSElement(**data)
 
@@ -486,6 +492,35 @@ def test_wrong_length_exponents_are_rejected_by_the_builder():
     # empty or zero is no exponent at all
     assert mods_element(K_K, fiber_twists=()) == mods_identity(K_K)
     assert mods_element(ONE, swap=0, shift=0) == mods_identity(ONE)
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=str)
+def test_an_element_with_unread_exponents_copies_as_the_checked_element(surface):
+    # from_linear_coordinates and translation_class store coordinates only;
+    # a copy made before any exponent is read must still be the element.
+    lattice = build_lattice(surface.sextic())
+    dim = len(linear_coordinates(mods_identity(surface)))
+    exponents = [f.name for f in dataclasses.fields(ModSElement)[1:]]
+    builders = (
+        lambda: from_linear_coordinates(surface, tuple(range(-2, dim - 2))),
+        lambda: translation_class(lattice, tuple(range(1, lattice.rank + 1))),
+    )
+    copies = (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, dataclasses.replace)
+    for build in builders:
+        for copied in copies:
+            g = build()
+            assert not set(exponents) & set(vars(g))
+            twin = copied(g)
+            checked = ModSElement(surface, *(getattr(g, name) for name in exponents))
+            assert twin == checked and hash(twin) == hash(checked) and repr(twin) == repr(checked)
+
+
+def test_equal_coordinates_on_different_surfaces_are_different_elements():
+    # K#T2 and K#T2+S2 both have 3 coordinates; the handle-free K+qS2 all have 1
+    for key_a, key_b in (("K#T2", "K#T2+S2"), ("K", "K+S2"), ("K+S2", "K+4S2")):
+        a, b = SurfaceType.from_key(key_a), SurfaceType.from_key(key_b)
+        assert linear_coordinates(mods_identity(a)) == linear_coordinates(mods_identity(b))
+        assert mods_identity(a) != mods_identity(b)
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=str)

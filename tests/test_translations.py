@@ -67,6 +67,18 @@ REJECTIONS = [
     pytest.param(
         lambda: H1Mod2Class(1.0, zero_residue(lattice_for("4|0")), 1), ValueError, "mu and nu must be bits", id="mu-1.0"
     ),
+    pytest.param(
+        lambda: mw_act_h2(lattice_for("4|0"), (0,) * 9, base_line_class_x(lattice_for("4|0"))),
+        ValueError,
+        "coordinate length mismatch: rank 8, got 8 and 9",
+        id="mw-act-h2-vector-length",
+    ),
+    pytest.param(
+        lambda: mw_act_h2(lattice_for("4|0"), (0,) * 8, H2ClassX(0, (0,) * 7, 1)),
+        ValueError,
+        "coordinate length mismatch: rank 8, got 7 and 8",
+        id="mw-act-h2-class-length",
+    ),
 ]
 
 
