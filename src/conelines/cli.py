@@ -98,12 +98,14 @@ def render(reports: Sequence[Report], fmt: str, meta: dict) -> str:
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    if text.strip() in ("", "-"):
+    """Comma-separated integers of ASCII digits, each part and the whole
+    text with ASCII blanks around them ignored; "" or "-" is no integer."""
+    if text.strip(lattices._BLANKS) in ("", "-"):
         return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"{what} must be comma-separated integers: {text!r}") from exc
+    parts = [part.strip(lattices._BLANKS) for part in text.split(",")]
+    if not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
+        raise ValueError(f"{what} must be comma-separated integers: {text!r}")
+    return tuple(map(int, parts))
 
 
 def _fmt_set(s: frozenset[int]) -> str:
@@ -297,8 +299,8 @@ def _shield_negative_lists(argv: Sequence[str]) -> list[str]:
     single negative number, so ``-3,-1,1,0,0`` would be an unknown option.
     No option of this command starts with a digit, so such a token is
     always a positional; with the space argparse takes it as one, and
-    ``int`` ignores the space.  ``act 'K#T2' -3,-1,1,0,0 1,0,1,1`` thus
-    parses like its ``--`` form while options may still stand anywhere.
+    ``_parse_ints`` ignores the space.  ``act 'K#T2' -3,-1,1,0,0 1,0,1,1``
+    thus parses like its ``--`` form while options may still stand anywhere.
     The one exception is the value of ``--out``, a file name, which is
     attached to the option as ``--out=-3,1`` instead.
     """

@@ -9,8 +9,9 @@ left kernel and row-span solves read off its transform, and the Smith
 form alternates Hermite forms of a matrix and of its transpose.
 Results are plain lists of lists of ints.  Inputs may be any sequences
 of integer rows (a lattice's translation table passes tuples); they
-are copied and never written.  Sizes in this package stay in the
-single digits, so clarity beats asymptotics.
+are copied and never written, and a ragged one raises ``ValueError``.
+Sizes in this package stay in the single digits, so clarity beats
+asymptotics.
 """
 
 from __future__ import annotations
@@ -27,9 +28,24 @@ def identity_matrix(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def _width(a: Rows) -> int:
+    """The common length of the rows of ``a``, 0 when it has none.
+
+    Every public function checks its matrices here, so a ragged one
+    raises ``ValueError`` instead of being cut to its shortest row.
+    """
+    n = len(a[0]) if a else 0
+    for row in a:
+        if len(row) != n:
+            raise ValueError("rows differ in length")
+    return n
+
+
 def mat_mul(a: Rows, b: Rows) -> Matrix:
     if b and any(len(row) != len(b) for row in a):
         raise ValueError("inner dimensions differ")
+    _width(a)
+    _width(b)
     columns = tuple(zip(*b))
     return [[sum(map(mul, row, col)) for col in columns] for row in a]
 
@@ -48,9 +64,7 @@ class SNFResult:
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(
-            self.s[i][i] for i in range(min(len(self.s), len(self.s[0]) if self.s else 0))
-        )
+        return tuple(self.s[i][i] for i in range(min(len(self.s), _width(self.s))))
 
     @property
     def rank(self) -> int:
@@ -70,8 +84,7 @@ def smith_normal_form(a: Rows) -> SNFResult:
     the later column added into the earlier one, and the passes resume
     (Kannan and Bachem, SIAM J. Comput. 8(4), 1979).
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
+    m, n = len(a), _width(a)
     s, u, v = a, identity_matrix(m), identity_matrix(n)
     while True:
         rows = row_hermite_form(s)
@@ -107,10 +120,9 @@ class HNFResult:
 
 
 def row_hermite_form(a: Rows) -> HNFResult:
-    m = len(a)
+    m, n = len(a), _width(a)
     h = [list(row) for row in a]
     u = identity_matrix(m)
-    n = len(a[0]) if m else 0
     r = 0
     for c in range(n):
         pivot = next((i for i in range(r, m) if h[i][c]), None)
@@ -162,7 +174,7 @@ def solve_left(a: Rows, b: Sequence[int]) -> tuple[int, ...] | None:
     leftover, since later rows of H vanish in that column.  A matrix with
     no rows has every width: x = () solves a zero b of any length.
     """
-    if a and len(b) != len(a[0]):
+    if a and len(b) != _width(a):
         raise ValueError("right-hand side has wrong length")
     res = row_hermite_form(a)
     rest = list(b)

@@ -29,7 +29,9 @@ integers that ``_square_completion`` derives from them; its globals are
 the residue table, ``isqrt`` and ``range``.
 
 All vectors are plain integer tuples in the fixed basis, so every value in
-this module is hashable and safe to share between threads.
+this module is hashable and safe to share between threads.  ``pair`` and
+``norm`` are hot paths: they check a vector's length and trust its entries
+to be integers.
 """
 
 from __future__ import annotations

@@ -28,6 +28,8 @@ presentation, ``_image_matrix``, is kept on the lattice as its
 ``_translations`` table.  ``translation_class`` and ``translation_analysis``
 (kernel, image and cokernel) read it, and so does ``_translation_preimage``,
 one solve for membership and for split-twist preimages alike.
+``translation_class`` is a hot path: it checks the vector's length and
+trusts its entries to be integers.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Acceptance checks: recomputation against frozen expectations.
 
-This module is the only place expected numbers are allowed to live.
-Each check recomputes a quantity from scratch (root enumeration, integer
-linear algebra, brute-force sweeps) and compares it to a frozen value;
-check identifiers group into eleven numbered families plus the fault
-hook exercised by the command-line self test.
+``FROZEN`` is the one home of expected numbers: one entry per row that
+checks a frozen value, keyed by the row's name.  Each check recomputes a
+quantity from scratch (root enumeration, integer linear algebra,
+brute-force sweeps) and compares it to its entry, or to what a library
+rule predicts; check identifiers group into eleven numbered families
+plus the fault hook exercised by the command-line self test.
 
 Each family is a generator that takes the family's seeded rng and yields
 one ``CheckResult`` per check, in report order.  ``run_criterion``
@@ -12,9 +13,9 @@ collects a family's rows; a family that raises reports one ``N.aborted``
 row in place of all of them.
 
 Frozen values come from two kinds of sources: published census tables
-(the code grid below, the strata sizes, the group analysis), and
-previously computed-then-frozen outputs such as the Hermite normal forms
-of the translation kernels.  Property checks (group laws, pairing
+(the tritangent census, the strata sizes, the group analysis), and
+previously computed-then-frozen outputs such as the kernel generators of
+the translation homomorphism.  Property checks (group laws, pairing
 preservation) consume a seeded generator so that reports are
 reproducible byte for byte.
 """
@@ -132,106 +133,111 @@ def _true(name: str, holds: bool, detail: str = "") -> CheckResult:
 # frozen expectations
 
 
-#: Positive-tritangent counts per (sextic type, tritangent type).
-_CENSUS_GRID: dict[str, tuple[int, int, int, int, int]] = {
-    # order: T0, T0*, T1, T2, T3
-    "4|0": (4, 4, 32, 48, 32),
-    "3|0": (4, 3, 24, 24, 8),
-    "2|0": (4, 2, 16, 8, 0),
-    "1|0": (4, 1, 8, 0, 0),
-    "0|0": (4, 0, 0, 0, 0),
-    "1|1": (3, 1, 8, 0, 0),
-    "|||": (12, 0, 0, 0, 0),
-    "0|1": (3, 0, 0, 0, 0),
-    "0|2": (2, 0, 0, 0, 0),
-    "0|3": (1, 0, 0, 0, 0),
-    "0|4": (0, 0, 0, 0, 0),
+#: Every expected number of the report, keyed by the row that checks it, in
+#: report order.  An entry is the row's expected value or the frozen data the
+#: row computes it from: the code atlas, the two-oval singletons, the kernel
+#: generators and the involution chains.  ``1.total <key>`` has no entry of
+#: its own: it reads |V1 - R1| from ``2.strata <key>``.
+FROZEN: dict[str, object] = {
+    # positive tritangents per type: T0, T0*, T1, T2, T3
+    "1.census 4|0": (4, 4, 32, 48, 32),
+    "1.census 3|0": (4, 3, 24, 24, 8),
+    "1.census 2|0": (4, 2, 16, 8, 0),
+    "1.census 1|0": (4, 1, 8, 0, 0),
+    "1.census 0|0": (4, 0, 0, 0, 0),
+    "1.census 1|1": (3, 1, 8, 0, 0),
+    "1.census |||": (12, 0, 0, 0, 0),
+    "1.census 0|1": (3, 0, 0, 0, 0),
+    "1.census 0|2": (2, 0, 0, 0, 0),
+    "1.census 0|3": (1, 0, 0, 0, 0),
+    "1.census 0|4": (0, 0, 0, 0, 0),
+    # strata sizes (|V|, |R|, |V1|, |R1|, |V1 - R1|), then the Z/4 value
+    # distribution on the radical
+    "2.strata 4|0": (256, 1, 120, 0, 120), "2.radical-values 4|0": (1, 0, 0, 0),
+    "2.strata 3|0": (128, 2, 64, 1, 63), "2.radical-values 3|0": (1, 1, 0, 0),
+    "2.strata 2|0": (64, 4, 32, 2, 30), "2.radical-values 2|0": (1, 2, 1, 0),
+    "2.strata 1|0": (32, 8, 16, 3, 13), "2.radical-values 1|0": (1, 3, 3, 1),
+    "2.strata 0|0": (16, 16, 8, 4, 4), "2.radical-values 0|0": (2, 4, 6, 4),
+    "2.strata 1|1": (16, 4, 12, 0, 12), "2.radical-values 1|1": (1, 0, 3, 0),
+    "2.strata |||": (16, 4, 12, 0, 12), "2.radical-values |||": (1, 0, 3, 0),
+    "2.strata 0|1": (8, 8, 4, 1, 3), "2.radical-values 0|1": (1, 1, 3, 3),
+    "2.strata 0|2": (4, 4, 2, 0, 2), "2.radical-values 0|2": (1, 0, 1, 2),
+    "2.strata 0|3": (2, 2, 1, 0, 1), "2.radical-values 0|3": (1, 0, 0, 1),
+    "2.strata 0|4": (1, 1, 0, 0, 0), "2.radical-values 0|4": (1, 0, 0, 0),
+    "3.tangency-sets 4|0": 15,
+    "3.pair-census 1|1": {
+        (frozenset({1}), frozenset()): 4, (frozenset(), frozenset({1})): 4, (frozenset({1}), frozenset({1})): 4
+    },
+    "4.codes-total 4|0": 120,
+    # the crossing-code atlas of the four-oval curve: 28 base codes, where
+    # "A" expands to "U" or "O" independently and the optional pair is the
+    # bracket arc of the third tangency
+    "4.codes-multiset 4|0": (
+        ("uuuo", None), ("uuou", None), ("uouu", None), ("ouuu", None),
+        ("Cooo", None), ("oCoo", None), ("ooCo", None), ("oooC", None),
+        ("Auuo", None), ("Auou", None), ("Aouu", None), ("Aooo", None),
+        ("uuAo", None), ("uoAu", None), ("ouAu", None), ("ooAo", None),
+        ("uAoo", None), ("oAuo", None), ("oAou", None), ("uAuu", None),
+        ("uooA", None), ("oouA", None), ("ouoA", None), ("uuuA", None),
+        ("AAuu", (2, 0)), ("AAoo", (1, 1)), ("uAAu", (3, 1)), ("oAAo", (2, 2)),
+        ("uuAA", (4, 2)), ("ooAA", (3, 3)), ("AuuA", (1, 3)), ("AooA", (4, 0)),
+        ("AuAo", (1, 2)), ("AoAu", (3, 0)), ("uAoA", (4, 1)), ("oAuA", (2, 3)),
+        ("AAAu", None), ("AAoA", None), ("AuAA", None), ("oAAA", None),
+    ),
+    # two-oval codes repeat twice after bracket stripping, except these four
+    "4.codes-multiplicities 2|0": frozenset({"u o", "o u", "C o", "o C"}),
+    "4.codes-total 2|0": 30,
+    # cup, over, inner tangency, outer tangency
+    "4.codes-census 1|0": Counter({"o": 1, "u": 3, "C": 1, "O": 4, "U": 4}),
+    "4.codes-census 1|1": Counter({"o": 3, "C": 1, "O": 4, "U": 4}),
+    "4.band-groups |||": {"J1": 4, "BAND_A": 4, "BAND_B": 4},
+    # the translation homomorphism's mapping class group, image, kernel rank
+    # and cokernel, then kernel generators verified once against the computed
+    # kernels (Hermite-form equality)
+    "5.analysis K#4T2": ((8, (2,)), (8, ()), 0, (0, (2,))),
+    "5.kernel 4|0": (),
+    "5.analysis K#3T2": ((6, (2,)), (6, (2,)), 1, (0, ())),
+    "5.kernel 3|0": ((0, 2, 4, 6, 4, 2, 4),),
+    "5.analysis K#2T2": ((4, (2,)), (4, (2,)), 2, (0, ())),
+    "5.kernel 2|0": ((2, 2, 2, 2, 2, 0), (2, 2, 2, 2, 1, 1)),
+    "5.analysis K#T2": ((2, (2,)), (2, (2,)), 3, (0, ())),
+    "5.kernel 1|0": ((2, 2, 2, 0, 0), (2, 2, 1, 1, 0), (1, 2, 2, 1, 0)),
+    "5.analysis K": ((0, (2,)), (0, (2,)), 4, (0, ())),
+    "5.kernel 0|0": ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (2, 0, 0, 0)),
+    "5.analysis K#T2+S2": ((2, (2,)), (1, (2,)), 3, (1, ())),
+    "5.kernel 1|1": ((2, 4, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)),
+    "5.analysis K+K": ((0, (2, 2)), (0, (2, 2)), 4, (0, ())),
+    "5.kernel |||": ((2, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 2, 0, 0)),
+    "5.analysis K+S2": ((0, (2,)), (0, (2,)), 3, (0, ())),
+    "5.kernel 0|1": ((1, 1, 0), (0, 1, 1), (2, 0, 0)),
+    "5.analysis K+2S2": ((0, (2,)), (0, (2,)), 2, (0, ())),
+    "5.kernel 0|2": ((1, 1), (2, 0)),
+    "5.analysis K+3S2": ((0, (2,)), (0, (2,)), 1, (0, ())),
+    "5.kernel 0|3": ((2,),),
+    "5.analysis K+4S2": ((0, (2,)), (0, ()), 0, (0, (2,))),
+    "5.kernel 0|4": (),
+    # chain vectors whose translation is the distinguished involution
+    "6.involution-chain 3|0": (0, -1, -2, -3, -2, -1, -2),
+    "6.involution-chain 2|0": (1, 1, 1, 1, 1, 0),
+    "6.involution-chain 1|0": (1, 1, 1, 0, 0),
+    "9.shell-size 4|0": 26641,
+    "9.classes-attained 4|0": 256,
+    "9.classes-attained 2|0": 32,
+    "10.totals": (120, 24),
+    "10.conic-count": 48,
+    # finitely many line classes, or None
+    "11.count K#4T2": None, "11.count K#3T2": None, "11.count K#2T2": None, "11.count K#T2": None,
+    "11.count K": 2, "11.count K#T2+S2": None, "11.count K+K": 4, "11.count K+S2": 2,
+    "11.count K+2S2": 2, "11.count K+3S2": 2, "11.count K+4S2": 1,
 }
 
-#: Strata sizes (|V|, |R|, |V1|, |R1|, |V1 - R1|) and the Z/4 value
-#: distribution on the radical.
-_STRATA_EXPECTED: dict[str, tuple[tuple[int, int, int, int, int], tuple[int, int, int, int]]] = {
-    "4|0": ((256, 1, 120, 0, 120), (1, 0, 0, 0)),
-    "3|0": ((128, 2, 64, 1, 63), (1, 1, 0, 0)),
-    "2|0": ((64, 4, 32, 2, 30), (1, 2, 1, 0)),
-    "1|0": ((32, 8, 16, 3, 13), (1, 3, 3, 1)),
-    "1|1": ((16, 4, 12, 0, 12), (1, 0, 3, 0)),
-    "|||": ((16, 4, 12, 0, 12), (1, 0, 3, 0)),
-    "0|0": ((16, 16, 8, 4, 4), (2, 4, 6, 4)),
-    "0|1": ((8, 8, 4, 1, 3), (1, 1, 3, 3)),
-    "0|2": ((4, 4, 2, 0, 2), (1, 0, 1, 2)),
-    "0|3": ((2, 2, 1, 0, 1), (1, 0, 0, 1)),
-    "0|4": ((1, 1, 0, 0, 0), (1, 0, 0, 0)),
-}
+#: The row whose entry is the code atlas, which the derived code sets read too.
+_ATLAS = "4.codes-multiset 4|0"
 
-#: Crossing-code atlas for the four-oval curve: 28 base codes, where "A"
-#: expands to "U" or "O" independently and the optional pair is the
-#: bracket arc of the third tangency.
-_CODE_ROWS: tuple[tuple[str, tuple[int, int] | None], ...] = (
-    ("uuuo", None), ("uuou", None), ("uouu", None), ("ouuu", None),
-    ("Cooo", None), ("oCoo", None), ("ooCo", None), ("oooC", None),
-    ("Auuo", None), ("Auou", None), ("Aouu", None), ("Aooo", None),
-    ("uuAo", None), ("uoAu", None), ("ouAu", None), ("ooAo", None),
-    ("uAoo", None), ("oAuo", None), ("oAou", None), ("uAuu", None),
-    ("uooA", None), ("oouA", None), ("ouoA", None), ("uuuA", None),
-    ("AAuu", (2, 0)), ("AAoo", (1, 1)), ("uAAu", (3, 1)), ("oAAo", (2, 2)),
-    ("uuAA", (4, 2)), ("ooAA", (3, 3)), ("AuuA", (1, 3)), ("AooA", (4, 0)),
-    ("AuAo", (1, 2)), ("AoAu", (3, 0)), ("uAoA", (4, 1)), ("oAuA", (2, 3)),
-    ("AAAu", None), ("AAoA", None), ("AuAA", None), ("oAAA", None),
-)
 
-#: One-oval-plus-band code counts (cup, over, inner tangency, outer tangency).
-_EXPECTED_CODES_1_1 = Counter({"o": 3, "C": 1, "O": 4, "U": 4})
-
-#: Single-oval code counts.
-_EXPECTED_CODES_1_0 = Counter({"o": 1, "u": 3, "C": 1, "O": 4, "U": 4})
-
-#: Two-oval codes repeat twice after bracket stripping, except these four.
-_P2_SINGLETONS = frozenset({"u o", "o u", "C o", "o C"})
-
-#: Translation-homomorphism analysis: mapping class group, image,
-#: kernel rank, cokernel — one row per surface type.
-_ANALYSIS_EXPECTED: dict[str, tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]], int, tuple[int, tuple[int, ...]]]] = {
-    "K#4T2": ((8, (2,)), (8, ()), 0, (0, (2,))),
-    "K#3T2": ((6, (2,)), (6, (2,)), 1, (0, ())),
-    "K#2T2": ((4, (2,)), (4, (2,)), 2, (0, ())),
-    "K#T2": ((2, (2,)), (2, (2,)), 3, (0, ())),
-    "K#T2+S2": ((2, (2,)), (1, (2,)), 3, (1, ())),
-    "K+K": ((0, (2, 2)), (0, (2, 2)), 4, (0, ())),
-    "K": ((0, (2,)), (0, (2,)), 4, (0, ())),
-    "K+S2": ((0, (2,)), (0, (2,)), 3, (0, ())),
-    "K+2S2": ((0, (2,)), (0, (2,)), 2, (0, ())),
-    "K+3S2": ((0, (2,)), (0, (2,)), 1, (0, ())),
-    "K+4S2": ((0, (2,)), (0, ()), 0, (0, (2,))),
-}
-
-#: Explicit kernel generators of the translation homomorphism, verified
-#: once against the computed kernels and frozen (Hermite-form equality).
-_KERNEL_GENERATORS: dict[str, tuple[tuple[int, ...], ...]] = {
-    "4|0": (),
-    "3|0": ((0, 2, 4, 6, 4, 2, 4),),
-    "2|0": ((2, 2, 2, 2, 2, 0), (2, 2, 2, 2, 1, 1)),
-    "1|0": ((2, 2, 2, 0, 0), (2, 2, 1, 1, 0), (1, 2, 2, 1, 0)),
-    "1|1": ((2, 4, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)),
-    "0|0": ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (2, 0, 0, 0)),
-    "|||": ((2, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 2, 0, 0)),
-    "0|1": ((1, 1, 0), (0, 1, 1), (2, 0, 0)),
-    "0|2": ((1, 1), (2, 0)),
-    "0|3": ((2,),),
-    "0|4": (),
-}
-
-#: Chain vectors whose translation equals the distinguished involution.
-_DELTA_CHAINS: dict[str, tuple[int, ...]] = {
-    "3|0": (0, -1, -2, -3, -2, -1, -2),
-    "2|0": (1, 1, 1, 1, 1, 0),
-    "1|0": (1, 1, 1, 0, 0),
-}
-
-_LINE_CLASS_EXPECTED: dict[str, int | None] = {
-    "K#4T2": None, "K#3T2": None, "K#2T2": None, "K#T2": None, "K#T2+S2": None,
-    "K+K": 4, "K": 2, "K+S2": 2, "K+2S2": 2, "K+3S2": 2, "K+4S2": 1,
-}
+def _frozen(name: str, observed) -> CheckResult:
+    """The row ``name`` comparing ``observed`` to its own ``FROZEN`` entry."""
+    return _eq(name, observed, FROZEN[name])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +265,7 @@ def _expand_row(base: str, bracket: tuple[int, int] | None) -> tuple[str, ...]:
 def expanded_code_atlas() -> Counter[str]:
     """The full 120-element multiset of four-oval codes."""
     counts: Counter[str] = Counter()
-    for base, bracket in _CODE_ROWS:
+    for base, bracket in FROZEN[_ATLAS]:
         counts.update(_expand_row(base, bracket))
     return counts
 
@@ -271,7 +277,7 @@ def derived_code_set(p: int) -> frozenset[str]:
     deleted position slide down by one, on both bracket coordinates.
     """
     out: set[str] = set()
-    for base, bracket in _CODE_ROWS:
+    for base, bracket in FROZEN[_ATLAS]:
         for code in _expand_row(base, None):
             syms = code.split(" ")
             plain = [i for i, s in enumerate(syms, start=1) if s in ("u", "o")]
@@ -297,8 +303,8 @@ def _criterion_1(rng: random.Random) -> Iterator[CheckResult]:
         key = sextic.key
         census = type_census(sextic)
         observed = tuple(census[t] for t in order)
-        yield _eq(f"1.census {key}", observed, _CENSUS_GRID[key])
-        yield _eq(f"1.total {key}", sum(observed), _STRATA_EXPECTED[key][0][4])
+        yield _frozen(f"1.census {key}", observed)
+        yield _eq(f"1.total {key}", sum(observed), FROZEN[f"2.strata {key}"][4])
 
 
 def _criterion_2(rng: random.Random) -> Iterator[CheckResult]:
@@ -312,8 +318,8 @@ def _criterion_2(rng: random.Random) -> Iterator[CheckResult]:
             profile.size_r1,
             profile.size_v1_minus_r1,
         )
-        yield _eq(f"2.strata {key}", sizes, _STRATA_EXPECTED[key][0])
-        yield _eq(f"2.radical-values {key}", profile.r_counts, _STRATA_EXPECTED[key][1])
+        yield _frozen(f"2.strata {key}", sizes)
+        yield _frozen(f"2.radical-values {key}", profile.r_counts)
     for key in ("0|0", "1|0", "2|0", "3|0", "0|1", "0|2", "0|3"):
         profile = profiles[key]
         odd = profile.r_counts[1] + profile.r_counts[3]
@@ -327,7 +333,7 @@ def _criterion_3(rng: random.Random) -> Iterator[CheckResult]:
     proper = {
         frozenset(s) for r in range(4) for s in combinations((1, 2, 3, 4), r)
     }
-    yield _eq("3.tangency-sets 4|0", len(tan_sets), 15)
+    yield _frozen("3.tangency-sets 4|0", len(tan_sets))
     yield _eq("3.tangency-sets-proper 4|0", tan_sets, proper)
     partner_counts = Counter(s_tan for _, s_tan in census4)
     yield _true(
@@ -354,20 +360,14 @@ def _criterion_3(rng: random.Random) -> Iterator[CheckResult]:
                     expected[(s_in, s_tan)] = n
         yield _eq(f"3.pair-census {key}", census, expected)
 
-    one = frozenset({1})
-    yield _eq(
-        "3.pair-census 1|1",
-        pair_census(SexticType(1, 1)),
-        {(one, frozenset()): 4, (frozenset(), one): 4, (one, one): 4},
-    )
+    yield _frozen("3.pair-census 1|1", pair_census(SexticType(1, 1)))
 
 
 def _criterion_4(rng: random.Random) -> Iterator[CheckResult]:
     """Crossing-code censuses against the code atlas."""
     census4 = code_census(SexticType(4, 0))
-    atlas = expanded_code_atlas()
-    yield _eq("4.codes-total 4|0", sum(census4.values()), 120)
-    yield _eq("4.codes-multiset 4|0", census4, atlas)
+    yield _frozen("4.codes-total 4|0", sum(census4.values()))
+    yield _eq(_ATLAS, census4, expanded_code_atlas())
 
     for p in (3, 1):
         key = f"{p}|0"
@@ -381,20 +381,14 @@ def _criterion_4(rng: random.Random) -> Iterator[CheckResult]:
         frozenset(stripped),
         frozenset(_strip_brackets(c) for c in derived_code_set(2)),
     )
-    yield _eq(
-        "4.codes-multiplicities 2|0",
-        stripped,
-        Counter({c: 1 if c in _P2_SINGLETONS else 2 for c in stripped}),
-    )
-    yield _eq("4.codes-total 2|0", sum(census2.values()), 30)
+    name = "4.codes-multiplicities 2|0"
+    singletons = FROZEN[name]
+    yield _eq(name, stripped, Counter({c: 1 if c in singletons else 2 for c in stripped}))
+    yield _frozen("4.codes-total 2|0", sum(census2.values()))
 
-    yield _eq("4.codes-census 1|0", code_census(SexticType(1, 0)), _EXPECTED_CODES_1_0)
-    yield _eq("4.codes-census 1|1", code_census(SexticType(1, 1)), _EXPECTED_CODES_1_1)
-    yield _eq(
-        "4.band-groups |||",
-        {label: len(group) for label, group in threeJ_grouping().items()},
-        {"J1": 4, "BAND_A": 4, "BAND_B": 4},
-    )
+    yield _frozen("4.codes-census 1|0", code_census(SexticType(1, 0)))
+    yield _frozen("4.codes-census 1|1", code_census(SexticType(1, 1)))
+    yield _frozen("4.band-groups |||", {label: len(group) for label, group in threeJ_grouping().items()})
 
 
 def _translation_row(surface: SurfaceType, star: int = 0):
@@ -415,12 +409,9 @@ def _criterion_5(rng: random.Random) -> Iterator[CheckResult]:
         key = sextic.key
         surface = sextic.surface()
         row, analysis = _translation_row(surface)
-        yield _eq(f"5.analysis {surface.key}", row, _ANALYSIS_EXPECTED[surface.key])
-        yield _eq(
-            f"5.kernel {key}",
-            hermite_rows(analysis.kernel_basis),
-            hermite_rows(_KERNEL_GENERATORS[key]),
-        )
+        yield _frozen(f"5.analysis {surface.key}", row)
+        name = f"5.kernel {key}"
+        yield _eq(name, hermite_rows(analysis.kernel_basis), hermite_rows(FROZEN[name]))
     # The choice of where the component swap sends the reference section
     # must not change any of the two-Klein-bottle conclusions.
     rows = []
@@ -495,14 +486,10 @@ def _criterion_6(rng: random.Random) -> Iterator[CheckResult]:
                 f"delta^2 == 1: {mods_mul(delta, delta) == ident}, delta != 1: {delta != ident}",
             )
 
-    for key, chain in _DELTA_CHAINS.items():
+    for key in ("3|0", "2|0", "1|0"):
         sextic = SexticType.from_key(key)
-        lattice = build_lattice(sextic)
-        yield _eq(
-            f"6.involution-chain {key}",
-            mods_delta(sextic.surface()),
-            translation_class(lattice, chain),
-        )
+        name = f"6.involution-chain {key}"
+        yield _eq(name, mods_delta(sextic.surface()), translation_class(build_lattice(sextic), FROZEN[name]))
     lattice0 = build_lattice(SexticType(0, 0))
     surface0 = SexticType(0, 0).surface()
     yield _true(
@@ -596,11 +583,11 @@ def _criterion_9(rng: random.Random) -> Iterator[CheckResult]:
     """Brute-force realizability sweeps."""
     e8 = build_lattice(SexticType(4, 0))
     hits = shell_classes(e8, -8)
-    yield _eq("9.shell-size 4|0", hits.total(), 26641)
+    yield _frozen("9.shell-size 4|0", hits.total())
     parity_ok = all(mu == q0(reduce_mod2(e8, bits)) for mu, bits in hits)
     yield _true("9.parity-forced 4|0", parity_ok)
     wanted = {(q0(v), v.bits) for v in all_residues(e8)}
-    yield _eq("9.classes-attained 4|0", len(hits), 256)
+    yield _frozen("9.classes-attained 4|0", len(hits))
     yield _eq("9.classes-attained-set 4|0", set(hits), wanted)
 
     d6 = build_lattice(SexticType(2, 0))
@@ -612,7 +599,7 @@ def _criterion_9(rng: random.Random) -> Iterator[CheckResult]:
         for rep in reps6
         if realizable_mod2(SurfaceType(2, 0), H1Mod2Class(mu, rep, 1))
     }
-    yield _eq("9.classes-attained 2|0", len(attained6), 32)
+    yield _frozen("9.classes-attained 2|0", len(attained6))
     yield _eq("9.classes-attained-set 2|0", attained6, allowed6)
 
     # Exhaustive obstruction-versus-membership sweep on the four-handle
@@ -662,22 +649,23 @@ def _criterion_10(rng: random.Random) -> Iterator[CheckResult]:
     """Real-tritangent count of the conic pencil quotient."""
     t_four = real_tritangent_total(SexticType(4, 0))
     t_band = real_tritangent_total(SexticType(1, 1))
-    yield _eq("10.totals", (t_four, t_band), (120, 24))
-    yield _eq("10.conic-count", conic_count(t_four, t_band, 24), 48)
+    yield _frozen("10.totals", (t_four, t_band))
+    yield _frozen("10.conic-count", conic_count(t_four, t_band, 24))
 
 
 def _criterion_11(rng: random.Random) -> Iterator[CheckResult]:
     """Counting section classes of real lines."""
+    samples = 100  # how many distinct classes an unbounded row asks for
     for sextic in ALL_SEXTIC_TYPES:
         surface = sextic.surface()
         counted = count_line_classes(surface)
-        yield _eq(f"11.count {surface.key}", counted.finite, _LINE_CLASS_EXPECTED[surface.key])
+        yield _frozen(f"11.count {surface.key}", counted.finite)
         if counted.finite is None:
-            witnesses = counted.witnesses(100)
-            yield _eq(f"11.witnesses {surface.key}", len(set(witnesses)), 100)
+            witnesses = counted.witnesses(samples)
+            yield _eq(f"11.witnesses {surface.key}", len(set(witnesses)), samples)
     for surface in [s for s in ALL_SURFACE_TYPES if s.handles]:
-        orbit = {vanishing_orbit(surface, 1, n) for n in range(100)}
-        yield _eq(f"11.vanishing-orbit {surface.key}", len(orbit), 100)
+        orbit = {vanishing_orbit(surface, 1, n) for n in range(samples)}
+        yield _eq(f"11.vanishing-orbit {surface.key}", len(orbit), samples)
 
 
 _CRITERIA = {

@@ -6,11 +6,15 @@ including `verify --fault`.  The reports' bytes are pinned in the table of
 ``scripts/pins.py``, which ``test_cli.test_pinned_output`` runs.
 """
 
+import ast
 import dataclasses
 import gc
 import random
 import subprocess
 import sys
+from collections import Counter
+from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 
@@ -137,8 +141,77 @@ def test_criterion_09_checks_d6_against_the_librarys_realizability_rule(monkeypa
 
 def test_criterion_01_total_reads_the_strata_table(monkeypatch):
     """The census total and |V1 - R1| are two frozen routes to one number."""
-    monkeypatch.setitem(verify._STRATA_EXPECTED, "3|0", ((128, 2, 64, 1, 62), (1, 1, 0, 0)))
+    monkeypatch.setitem(verify.FROZEN, "2.strata 3|0", (128, 2, 64, 1, 62))
     assert {r.name for r in verify.run_criterion(1) if not r.passed} == {"1.total 3|0"}
+
+
+class _CountedReads(Mapping):
+    """A read-only view of a table that counts the reads of each key."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, Counter()
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return self.table[key]
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
+
+
+def test_every_frozen_value_is_read_by_its_row_in_report_order(monkeypatch):
+    """Each key of ``FROZEN`` names a row, the keys follow the report, and
+    a whole run reads each of them; the code atlas and the strata are read
+    by more than one row."""
+    counted = _CountedReads(verify.FROZEN)
+    monkeypatch.setattr(verify, "FROZEN", counted)
+    rows = verify.run_all(0)
+    assert all(r.passed for r in rows), [r.name for r in rows if not r.passed]
+    order = {r.name: i for i, r in enumerate(rows)}
+    keys = list(counted.table)
+    assert [key for key in keys if key not in order] == []
+    assert keys == sorted(keys, key=order.__getitem__)
+    assert [key for key in keys if not counted.reads[key]] == []
+
+
+#: The module tables that held frozen values before they moved into ``FROZEN``.
+FORMER_TABLES = (
+    "_CENSUS_GRID", "_STRATA_EXPECTED", "_CODE_ROWS", "_EXPECTED_CODES_1_0", "_EXPECTED_CODES_1_1",
+    "_P2_SINGLETONS", "_ANALYSIS_EXPECTED", "_KERNEL_GENERATORS", "_DELTA_CHAINS", "_LINE_CLASS_EXPECTED",
+)
+
+
+def _is_literal(node: ast.AST) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def test_verify_keeps_its_expected_values_in_one_table():
+    """No row compares against a literal, no module name but ``FROZEN``
+    binds a literal container, and no former table is left."""
+    source = Path(verify.__file__).read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_eq"
+    ]
+    assert calls
+    assert [ast.unparse(call) for call in calls if _is_literal(call.args[2])] == []
+    tables = [
+        ast.unparse(node)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and _is_literal(node.value)
+        and not isinstance(node.value, ast.Constant)
+    ]
+    assert tables == []
+    assert [name for name in FORMER_TABLES if name in source] == []
 
 
 def _shifted_canon(act):

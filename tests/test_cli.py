@@ -223,9 +223,15 @@ def test_act_dimension_mismatches(capsys):
         # only ASCII blanks around a key are ignored, not an ideographic space
         (("classify", "\u30004|0"), "error: cannot parse sextic type '\\u30004|0'"),
         (("act", "\u3000K#T2", "0,1,0,0,0", "0,0,0,1"), "error: cannot parse surface type '\\u3000K#T2'"),
+        # an integer is an optional "-" and ASCII digits, with only ASCII blanks around it
+        *(
+            (("act", "K#T2", vector, "0,0,0,1"), f"error: the translation vector must be comma-separated integers: {vector!r}")
+            for vector in ("\u0660,1,0,0,0", "1_0,1,0,0,0", "+1,1,0,0,0", "\u30000,1,0,0,0")
+        ),
     ],
     ids=["class-not-integers", "empty-class", "mod2-class-length", "seed-too-large", "unparsed-type"]
-    + ["fullwidth-digit-type", "arabic-indic-digit-type", "ideographic-space-type", "ideographic-space-surface"],
+    + ["fullwidth-digit-type", "arabic-indic-digit-type", "ideographic-space-type", "ideographic-space-surface"]
+    + ["arabic-indic-digit-vector", "underscore-vector", "plus-sign-vector", "ideographic-space-vector"],
 )
 def test_a_bad_argument_exits_2_with_one_error_line(capsys, argv, line):
     try:
@@ -242,6 +248,12 @@ def test_ascii_blanks_around_a_key_are_ignored(capsys):
     for key in ("4|0 ", " 4|0\t\n"):
         assert run(capsys, "classify", key) == run(capsys, "classify", "4|0")
     assert run(capsys, "act", "K#T2 ", "0,1,0,0,0", "0,0,0,1") == run(capsys, "act", "K#T2", "0,1,0,0,0", "0,0,0,1")
+
+
+def test_ascii_blanks_around_an_integer_are_ignored(capsys):
+    plain = run(capsys, "act", "K#T2", "0,1,0,0,0", "0,0,0,1")
+    assert run(capsys, "act", "K#T2", "0, 1,0,0,0", "0,0,0,1") == plain
+    assert run(capsys, "act", "K#T2", " 0,1,0,0,0\t", "0,0,0,1 ") == plain
 
 
 #: ``scripts/pins.py``: the one table of pinned outputs and the rule that hashes them.

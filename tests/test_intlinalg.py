@@ -47,6 +47,20 @@ REJECTIONS = [
         "row length differs from ambient rank",
         id="quotient-invariants",
     ),
+    # a ragged matrix is refused, not cut to its shortest row or left to an IndexError
+    *(
+        pytest.param(call, ValueError, "rows differ in length", id=f"{name}-ragged")
+        for name, call in (
+            ("mat-mul-right", lambda: mat_mul([[1, 2]], [[1, 2], [3]])),
+            ("mat-mul-left-of-no-rows", lambda: mat_mul([[1, 2], [3]], [])),
+            ("row-hermite-form", lambda: row_hermite_form([[1, 2], [3]])),
+            ("hermite-rows", lambda: hermite_rows([[1, 2], [3]])),
+            ("left-kernel-basis", lambda: left_kernel_basis([[1, 2], [3]])),
+            ("solve-left", lambda: solve_left([[1, 2], [3]], (1, 2))),
+            ("in-rowspan", lambda: in_rowspan([[1, 2], [3]], (1, 2))),
+            ("smith-normal-form", lambda: smith_normal_form([[1, 2], [3]])),
+        )
+    ),
 ]
 
 

@@ -44,7 +44,7 @@ from conelines.mapping_class import (
     translation_analysis,
     translation_class,
 )
-from conelines.verify import _KERNEL_GENERATORS
+from conelines.verify import FROZEN
 from conftest import HANDLE_KEYS, TYPE_KEYS, assert_rejected, lattice_and_vectors, lattice_for
 
 SURFACES = tuple(SexticType.from_key(k).surface() for k in TYPE_KEYS)
@@ -295,7 +295,7 @@ def test_frozen_kernel_generators_translate_trivially(key):
     # Witness for the frozen kernel HNFs from outside the Smith/Hermite code
     # that found them: each generator must act as the identity.
     lattice = lattice_for(key)
-    for row in _KERNEL_GENERATORS[key]:
+    for row in FROZEN[f"5.kernel {key}"]:
         assert in_translation_kernel(lattice, row), row
 
 
