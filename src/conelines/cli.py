@@ -29,7 +29,7 @@ from contextlib import contextmanager, nullcontext
 from typing import Iterator, Sequence
 
 from . import __version__, lattices
-from .homology_action import H1Class, action_matrix, class_coords, section_delta
+from .homology_action import action_matrix, class_coords, class_from_coords, section_delta
 from .lattices import SexticType, SurfaceType, build_lattice
 from .mapping_class import ModSElement, _slots, translation_class
 from .mod2 import Mod2Vector
@@ -232,7 +232,7 @@ def cmd_act(
                 f"a homology class on {surface.key} takes {dim} coordinates "
                 "(fiber bit, one bridge/oval pair per handle, section coefficient)"
             )
-        x = H1Class(coords[0], tuple(zip(coords[1:-1:2], coords[2:-1:2])), coords[-1])
+        x = class_from_coords(coords)
         y = matrix.apply(x)
         for i, matrix_row in enumerate(matrix.entries):
             rows.append((f"matrix[{i}]", str(tuple(matrix_row))))

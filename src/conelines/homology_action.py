@@ -17,8 +17,10 @@ solve that also decides ``is_translation_class``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .intlinalg import Matrix, mat_mul
 from .lattices import GeometricLattice, SurfaceType, UnsupportedTypeError, Vec, build_lattice
@@ -67,6 +69,11 @@ def _check_frame(fiber_bit: int, pairs: tuple[tuple[int, int], ...]) -> None:
 def class_coords(x: H1Class) -> tuple[int, ...]:
     """Coordinates of x in the basis order of ``H1ActionMatrix``."""
     return (x.fiber_bit, *(c for pair in x.pairs for c in pair), x.line_coeff)
+
+
+def class_from_coords(coords: Sequence[int]) -> H1Class:
+    """The class with the given coordinates: the inverse of ``class_coords``."""
+    return H1Class(coords[0], tuple(zip(coords[1:-1:2], coords[2:-1:2])), coords[-1])
 
 
 @dataclass(frozen=True)
@@ -130,17 +137,12 @@ class H1ActionMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def apply(self, x: H1Class) -> H1Class:
-        p = self.surface.handles
         coords = class_coords(x)
-        if len(coords) != 2 * p + 2:
+        if len(coords) != len(self.entries):
             raise ValueError("class has the wrong number of handles for this surface")
-        out = [sum(row[j] * coords[j] for j in range(len(coords))) for row in self.entries]
+        out = [sum(map(mul, row, coords)) for row in self.entries]
         out[0] %= 2
-        return H1Class(
-            out[0],
-            tuple((out[2 * i + 1], out[2 * i + 2]) for i in range(p)),
-            out[-1],
-        )
+        return class_from_coords(out)
 
 
 def action_matrix(surface: SurfaceType, delta: H1Delta) -> H1ActionMatrix:

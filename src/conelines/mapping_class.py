@@ -17,9 +17,10 @@ These linear coordinates are the group's one coordinate system: the
 group law, the normal form of raw exponents (half twists reduced to
 bits) and the translation map are all sums in them.  An element stores
 its surface and its coordinates, and compares and hashes by them; its
-exponents are worked out from them when first read.  The normal form is
-also the only definition of a well-formed element: outside data must be
-its own normal form, and elements built from coordinates are trusted.
+exponents are worked out from them, all five at the first read of one.
+``mods_element`` is the one check of outside data: the constructor takes
+raw exponents only if they are the normal form of what ``mods_element``
+builds from them, and elements built from coordinates are trusted.
 
 Translating along a section moves every fiber by an element of the
 vanishing-cycle lattice; ``translation_class`` is the resulting
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, mul
 
@@ -58,27 +59,6 @@ from .lattices import (
 )
 
 
-class _Exponent:
-    """One exponent field of ``ModSElement``, kept in the instance once set.
-
-    An element built from coordinates sets none of them: the first read
-    works out all five from the stored coordinates.  Read on the class,
-    the field gives its default.
-    """
-
-    def __init__(self, default: object) -> None:
-        self.default = default
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, g: ModSElement | None, owner: type | None = None) -> object:
-        if g is None:
-            return self.default
-        vars(g).update(zip(ModSElement.__match_args__[1:], _normal_exponents(g.surface, g._coords)))
-        return vars(g)[self.name]
-
-
 @dataclass(frozen=True, eq=False)
 class ModSElement:
     """A fiberwise mapping class: its surface and its linear coordinates.
@@ -91,27 +71,33 @@ class ModSElement:
     one integer per handle (split twists).  Handle-free surfaces other
     than the double Klein bottle carry a single fiber-twist parity; the
     double Klein bottle carries the two commuting involutions ``swap`` and
-    ``shift`` of its components.  The constructor checks one rule: the data
-    is made of ``int``s and is its own normal form (``_normal_exponents`` of
-    its coordinates).
+    ``shift`` of its components.  The constructor accepts data equal to
+    the exponents of what ``mods_element`` builds from it.
     """
 
     surface: SurfaceType
-    half_twists: tuple[int, ...] = _Exponent(())
-    fiber_twists: tuple[int, ...] = _Exponent(())
-    split_twists: tuple[int, ...] = _Exponent(())
-    swap: int = _Exponent(0)
-    shift: int = _Exponent(0)
+    half_twists: tuple[int, ...] = field(default_factory=tuple)
+    fiber_twists: tuple[int, ...] = field(default_factory=tuple)
+    split_twists: tuple[int, ...] = field(default_factory=tuple)
+    swap: int = field(default_factory=int)
+    shift: int = field(default_factory=int)
 
     def __post_init__(self) -> None:
-        data = (self.half_twists, self.fiber_twists, self.split_twists, self.swap, self.shift)
+        data = tuple(getattr(self, name) for name in _EXPONENTS)
         with suppress(ValueError, TypeError):
-            if _integral(*data):
-                coords = _coordinates(self.surface, *data)
-                if data == _normal_exponents(self.surface, coords):
-                    object.__setattr__(self, "_coords", coords)
-                    return
+            g = mods_element(self.surface, *data)
+            if data == tuple(getattr(g, name) for name in _EXPONENTS):
+                object.__setattr__(self, "_coords", g._coords)
+                return
         raise ValueError(f"malformed element data for surface {self.surface}")
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only for names the instance lacks: the exponents of an
+        # element built from coordinates, all worked out at the first read.
+        if name not in _EXPONENTS:
+            return super().__getattribute__(name)
+        vars(self).update(zip(_EXPONENTS, _normal_exponents(self.surface, self._coords)))
+        return vars(self)[name]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ModSElement:
@@ -122,11 +108,7 @@ class ModSElement:
         return hash((self.surface, self._coords))
 
 
-def _integral(
-    half_twists: Sequence[int], fiber_twists: Sequence[int], split_twists: Sequence[int], swap: int, shift: int
-) -> bool:
-    """Whether every raw exponent is an ``int``."""
-    return all(type(x) is int for x in (*half_twists, *fiber_twists, *split_twists, swap, shift))
+_EXPONENTS = ModSElement.__match_args__[1:]
 
 
 def _slots(surface: SurfaceType) -> tuple[str, ...]:
@@ -147,13 +129,14 @@ def _coordinates(
     """Linear coordinates of raw exponents, by the drift formula.
 
     The relators map to zero, so the exponents need no normal form
-    first.  Empty tuples stand for zeros.
+    first.  Empty tuples stand for zeros; ``from_linear_coordinates``
+    reduces the Z/2 slots.
     """
     if surface.double_klein:
-        return (swap % 2, shift % 2)
+        return (swap, shift)
     p = surface.handles
     if p == 0:
-        return (sum(fiber_twists) % 2,)
+        return (sum(fiber_twists),)
     kappa = half_twists or (0,) * p
     n = fiber_twists or (0,) * p
     m = split_twists or (0,) * p
@@ -161,7 +144,7 @@ def _coordinates(
         raise ValueError("exponent tuples must have one entry per handle")
     total = sum(n)
     drift = [k + 2 * running - total for k, running in zip(kappa, accumulate(n))]
-    return (*drift, *m, total % 2)
+    return (*drift, *m, total)
 
 
 def mods_element(
@@ -179,11 +162,11 @@ def mods_element(
     outside ``_slots(surface)`` must be empty or zero.
     """
     slots = _slots(surface)
-    raw = zip(ModSElement.__match_args__[1:], (half_twists, fiber_twists, split_twists, swap, shift))
+    raw = zip(_EXPONENTS, (half_twists, fiber_twists, split_twists, swap, shift))
     absent = [slot.replace("_", " ") for slot, value in raw if value and slot not in slots]
     if absent:
         raise ValueError(f"raw exponents in slots {surface} does not have: {', '.join(absent)}")
-    if not _integral(half_twists, fiber_twists, split_twists, swap, shift):
+    if not all(type(x) is int for x in (*half_twists, *fiber_twists, *split_twists, swap, shift)):
         raise ValueError(f"malformed element data for surface {surface}")
     coords = _coordinates(surface, half_twists, fiber_twists, split_twists, swap, shift)
     return from_linear_coordinates(surface, coords)

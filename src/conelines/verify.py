@@ -246,20 +246,11 @@ def _frozen(name: str, observed) -> CheckResult:
 
 def _expand_row(base: str, bracket: tuple[int, int] | None) -> tuple[str, ...]:
     """All serialized codes a base row stands for (ambivalents resolved)."""
-    variants = [""]
-    for ch in base:
-        if ch == "A":
-            variants = [v + s for v in variants for s in ("U", "O")]
-        else:
-            variants = [v + ch for v in variants]
-    out = []
-    for v in variants:
-        parts = list(v)
-        if bracket is not None:
-            a, b = bracket
-            parts.insert(a, f"[{a},{b})")
-        out.append(" ".join(parts))
-    return tuple(out)
+    codes = product(*("UO" if ch == "A" else ch for ch in base))
+    if bracket is None:
+        return tuple(map(" ".join, codes))
+    a, b = bracket
+    return tuple(" ".join((*syms[:a], f"[{a},{b})", *syms[a:])) for syms in codes)
 
 
 def expanded_code_atlas() -> Counter[str]:
@@ -278,13 +269,12 @@ def derived_code_set(p: int) -> frozenset[str]:
     """
     out: set[str] = set()
     for base, bracket in FROZEN[_ATLAS]:
-        for code in _expand_row(base, None):
-            syms = code.split(" ")
-            plain = [i for i, s in enumerate(syms, start=1) if s in ("u", "o")]
-            for dropped in combinations(plain, 4 - p):
-                kept = "".join(s for i, s in enumerate(syms, start=1) if i not in dropped)
-                shifted = bracket and tuple(g - sum(1 for d in dropped if d <= g) for g in bracket)
-                out.update(_expand_row(kept, shifted))
+        # An ambivalent "A" resolves to "U" or "O", never to a plain symbol.
+        plain = [i for i, s in enumerate(base, start=1) if s in ("u", "o")]
+        for dropped in combinations(plain, 4 - p):
+            kept = "".join(s for i, s in enumerate(base, start=1) if i not in dropped)
+            shifted = bracket and tuple(g - sum(1 for d in dropped if d <= g) for g in bracket)
+            out.update(_expand_row(kept, shifted))
     return frozenset(out)
 
 

@@ -20,7 +20,14 @@ from conelines.homology_action import (
     vanishing_orbit,
     zero_delta,
 )
-from conelines.lattices import SexticType, SurfaceType, UnsupportedTypeError, build_lattice
+from conelines.lattices import (
+    SexticType,
+    SurfaceType,
+    UnsupportedTypeError,
+    build_lattice,
+    norm,
+    vectors_with_norm_at_least,
+)
 from conelines.mapping_class import (
     is_translation_class,
     mods_identity,
@@ -237,6 +244,22 @@ def test_obstruction_is_only_defined_where_the_parity_binds():
     with pytest.raises(UnsupportedTypeError) as raised:
         obstruction_kappa(SurfaceType.from_key("K+4S2"), (), ())
     assert "no parity constraint" not in str(raised.value)
+
+
+@pytest.mark.parametrize("key", SECTION_KEYS)
+def test_a_translation_moves_the_fiber_bit_by_half_the_norm(key):
+    # Shioda's transvection (m, v, n) -> (m + v.w + (w^2/2) n, ...) applied to
+    # the zero section: the section difference of w's translation carries
+    # the fiber bit w^2/2 mod 2, and so does the closed form of the forced bit.
+    lattice = lattice_for(key)
+    surface = lattice.sextic.surface()
+    for w in vectors_with_norm_at_least(lattice, -6):
+        bit = norm(lattice, w) // 2 % 2
+        delta = section_delta(translation_class(lattice, w))
+        assert delta.fiber_bit == bit, w
+        if key in ("4|0", "1|1"):
+            m, k = zip(*delta.pairs)
+            assert obstruction_kappa(surface, m, k) == bit, w
 
 
 @pytest.mark.parametrize(

@@ -505,7 +505,7 @@ def test_an_element_with_unread_exponents_copies_as_the_checked_element(surface)
         lambda: from_linear_coordinates(surface, tuple(range(-2, dim - 2))),
         lambda: translation_class(lattice, tuple(range(1, lattice.rank + 1))),
     )
-    copies = (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, dataclasses.replace)
+    copies = (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy, dataclasses.replace)
     for build in builders:
         for copied in copies:
             g = build()

@@ -3,6 +3,7 @@
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from conelines.lattices import (
     vadd,
     vectors_with_norm_at_least,
 )
-from conelines.mod2 import q0, reduce_mod2, zero_residue
+from conelines.mod2 import all_residues, q0, reduce_mod2, zero_residue
 from conelines.translations import (
     H1Mod2Class,
     conic_count,
@@ -317,3 +318,33 @@ def test_shell_classes_match_the_theta_series(lattice, system):
     hits = shell_classes(lattice, _THETA_FLOOR)
     assert hits.total() == sum(theta)
     assert sum(count for (mu, _), count in hits.items() if mu == 0) == sum(theta[::16])
+
+
+def _sigma3(k: int) -> int:
+    return sum(d**3 for d in range(1, k + 1) if k % d == 0)
+
+
+def test_e8_shell_classes_follow_the_closed_form(e8):
+    # W(E8) has three orbits on E8/2E8: zero, the 120 classes with q0 = 1 and
+    # the other 135 (Conway and Sloane, SPLAG ch. 4 sec. 8.1).  A vector of
+    # norm -2k lies in 2E8 exactly when it is twice one of norm -k/2, so the
+    # E8 theta series theta[k] = 240 sigma_3(k) splits over the classes in
+    # closed form.
+    theta = [1, *(240 * _sigma3(k) for k in range(1, 6))]
+    zero = zero_residue(e8)
+    residues = all_residues(e8)
+    assert len({coset_representative(r).bits for r in residues}) == 256
+    below = Counter()
+    for k in range(6):
+        within = shell_classes(e8, -2 * k)
+        shell, below = within - below, within
+        doubled = theta[k // 4] if k % 4 == 0 else 0
+        assert {mu for mu, _ in shell} == {k % 2}
+        for r in residues:
+            if r == zero:
+                expected = doubled
+            elif q0(r):
+                expected = theta[k] // 120 if k % 2 else 0
+            else:
+                expected = 0 if k % 2 else (theta[k] - doubled) // 135
+            assert shell[k % 2, coset_representative(r).bits] == expected, (k, r)
