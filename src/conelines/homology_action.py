@@ -8,9 +8,10 @@ section; the difference of their classes is a small datum (a fiber bit
 plus one integer and one bit per handle) which determines the full action
 matrix in block-triangular form, the group law on section differences,
 and the parity obstruction singling out the classes realizable by real
-lines.  ``realizable_mod2`` forces the fiber bit on three surfaces,
-K#4T2, K#T2+S2 and K+4S2; ``obstruction_kappa`` writes it in closed form
-on the first two.  ``split_twist_preimage`` pulls a split twist back to
+lines.  The double Klein bottle has no such frame, and every function
+that reads one refuses it.  ``realizable_mod2`` forces the fiber bit on
+three surfaces, K#4T2, K#T2+S2 and K+4S2; ``obstruction_kappa`` writes it
+in closed form on the first two.  ``split_twist_preimage`` pulls a split twist back to
 a lattice vector by ``mapping_class._translation_preimage``, the one
 solve that also decides ``is_translation_class``.
 """
@@ -94,7 +95,16 @@ class H1Delta:
             raise ValueError("oval-direction coefficients of a section difference are bits")
 
 
+def _check_handle_frame(surface: SurfaceType) -> None:
+    """Refuse the double Klein bottle: it has no fiber, handle and section frame."""
+    if surface.double_klein:
+        raise UnsupportedTypeError(
+            "the double Klein bottle carries no handle frame for section classes"
+        )
+
+
 def zero_delta(surface: SurfaceType) -> H1Delta:
+    _check_handle_frame(surface)
     return H1Delta(0, ((0, 0),) * surface.handles)
 
 
@@ -105,17 +115,20 @@ def delta_to_class(delta: H1Delta) -> H1Class:
 
 def class_of_section(g: ModSElement) -> H1Class:
     """Homology class of the image of the reference section under g."""
-    if g.surface.double_klein:
-        raise UnsupportedTypeError(
-            "the double Klein bottle carries no handle frame for section classes"
-        )
-    fiber = (
-        sum(g.fiber_twists) + sum(m * (1 - k) for m, k in zip(g.split_twists, g.half_twists))
-    ) % 2
+    _check_handle_frame(g.surface)
+    fiber = _section_fiber_bit(g.half_twists, g.fiber_twists, g.split_twists)
     pairs = tuple(
         ((-1) ** (1 - k) * m, k) for m, k in zip(g.split_twists, g.half_twists)
     )
     return H1Class(fiber, pairs, 1)
+
+
+def _section_fiber_bit(
+    half_twists: Sequence[int], fiber_twists: Sequence[int], split_twists: Sequence[int]
+) -> int:
+    """Fiber bit of the image of the reference section: the fiber twists'
+    parity plus the split twists of the handles without a half twist."""
+    return (sum(fiber_twists) + sum(m * (1 - k) for m, k in zip(split_twists, half_twists))) % 2
 
 
 def section_delta(g: ModSElement) -> H1Delta:
@@ -147,6 +160,7 @@ class H1ActionMatrix:
 
 def action_matrix(surface: SurfaceType, delta: H1Delta) -> H1ActionMatrix:
     """The full homology action of the translation with given section difference."""
+    _check_handle_frame(surface)
     p = surface.handles
     if len(delta.pairs) != p:
         raise ValueError("difference has the wrong number of handles for this surface")
@@ -183,6 +197,7 @@ def mw_sum(surface: SurfaceType, d1: H1Delta, d2: H1Delta) -> H1Delta:
     Per handle this is the product of the two upper-triangular matrices
     with diagonal (-1)^k; the fiber bit picks up the cross terms.
     """
+    _check_handle_frame(surface)
     p = surface.handles
     if len(d1.pairs) != p or len(d2.pairs) != p:
         raise ValueError("difference has the wrong number of handles for this surface")
@@ -210,7 +225,7 @@ def obstruction_kappa(surface: SurfaceType, m: tuple[int, ...], k: tuple[int, ..
     if any(b not in (0, 1) for b in k):
         raise ValueError("oval-direction coefficients must be bits")
     if (p, surface.spheres) == (4, 0):
-        return (m[0] + m[2] + sum(mi * ki for mi, ki in zip(m, k)) + sum(k)) % 2
+        return (m[0] + m[2] + sum(map(mul, m, k)) + sum(k)) % 2
     if (p, surface.spheres) == (1, 1):
         return 1 if k[0] == 1 else m[0] % 2
     raise UnsupportedTypeError(f"no closed form for the forced fiber bit on {surface}")

@@ -88,8 +88,9 @@ _BLANKS = " \t\n\r\x0b\x0c"
 #: (basis names, adjacency edges, lattice name) per type key, in the published
 #: order: the one list of the types.  A basis class named ``O<i>`` is the i-th
 #: oval; every other class is a bridge.  A ``0|q`` type keeps 4 - q pairwise
-#: orthogonal bridge classes only.
-_GRAPHS: dict[str, tuple[tuple[str, ...], tuple[tuple[int, int], ...], str]] = {
+#: orthogonal bridge classes only.  Read-only: ``SexticType`` reads it to tell
+#: which types exist, so a write would add a type that has no lattice.
+_GRAPHS: Mapping[str, tuple[tuple[str, ...], tuple[tuple[int, int], ...], str]] = MappingProxyType({
     "4|0": (
         ("O1", "B12", "O2", "B23", "O3", "B34", "O4", "B3"),
         ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)),
@@ -109,7 +110,7 @@ _GRAPHS: dict[str, tuple[tuple[str, ...], tuple[tuple[int, int], ...], str]] = {
     "0|2": (("B1", "B2"), (), "2A1"),
     "0|3": (("B1",), (), "1A1"),
     "0|4": ((), (), "0"),
-}
+})
 
 
 @dataclass(frozen=True)

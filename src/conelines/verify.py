@@ -25,11 +25,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
+from operator import mul
 from typing import Iterator
 
 from .homology_action import (
     H1Delta,
+    _section_fiber_bit,
     action_matrix,
     action_mul,
     count_line_classes,
@@ -57,6 +59,7 @@ from .lattices import (
 )
 from .mapping_class import (
     ModSElement,
+    _coordinates,
     is_translation_class,
     mods_delta,
     mods_element,
@@ -136,8 +139,8 @@ def _true(name: str, holds: bool, detail: str = "") -> CheckResult:
 #: Every expected number of the report, keyed by the row that checks it, in
 #: report order.  An entry is the row's expected value or the frozen data the
 #: row computes it from: the code atlas, the two-oval singletons, the kernel
-#: generators and the involution chains.  ``1.total <key>`` has no entry of
-#: its own: it reads |V1 - R1| from ``2.strata <key>``.
+#: generators, the involution chains and a cokernel character.  Each tritangent
+#: carries one code, so ``1.total`` and ``4.codes-total`` read |V1 - R1| from ``2.strata``.
 FROZEN: dict[str, object] = {
     # positive tritangents per type: T0, T0*, T1, T2, T3
     "1.census 4|0": (4, 4, 32, 48, 32),
@@ -168,7 +171,6 @@ FROZEN: dict[str, object] = {
     "3.pair-census 1|1": {
         (frozenset({1}), frozenset()): 4, (frozenset(), frozenset({1})): 4, (frozenset({1}), frozenset({1})): 4
     },
-    "4.codes-total 4|0": 120,
     # the crossing-code atlas of the four-oval curve: 28 base codes, where
     # "A" expands to "U" or "O" independently and the optional pair is the
     # bracket arc of the third tangency
@@ -186,7 +188,6 @@ FROZEN: dict[str, object] = {
     ),
     # two-oval codes repeat twice after bracket stripping, except these four
     "4.codes-multiplicities 2|0": frozenset({"u o", "o u", "C o", "o C"}),
-    "4.codes-total 2|0": 30,
     # cup, over, inner tangency, outer tangency
     "4.codes-census 1|0": Counter({"o": 1, "u": 3, "C": 1, "O": 4, "U": 4}),
     "4.codes-census 1|1": Counter({"o": 3, "C": 1, "O": 4, "U": 4}),
@@ -223,6 +224,8 @@ FROZEN: dict[str, object] = {
     "9.shell-size 4|0": 26641,
     "9.classes-attained 4|0": 256,
     "9.classes-attained 2|0": 32,
+    # the cokernel Z/2 on (4 drifts, 4 split twists, parity); frozen: --fault gram makes it Z/4
+    "9.obstruction-membership-sweep K#4T2": (1, 1, 1, 1, 0, 1, 0, 1, 1),
     "10.totals": (120, 24),
     "10.conic-count": 48,
     # finitely many line classes, or None
@@ -356,7 +359,7 @@ def _criterion_3(rng: random.Random) -> Iterator[CheckResult]:
 def _criterion_4(rng: random.Random) -> Iterator[CheckResult]:
     """Crossing-code censuses against the code atlas."""
     census4 = code_census(SexticType(4, 0))
-    yield _frozen("4.codes-total 4|0", sum(census4.values()))
+    yield _eq("4.codes-total 4|0", sum(census4.values()), FROZEN["2.strata 4|0"][4])
     yield _eq(_ATLAS, census4, expanded_code_atlas())
 
     for p in (3, 1):
@@ -374,7 +377,7 @@ def _criterion_4(rng: random.Random) -> Iterator[CheckResult]:
     name = "4.codes-multiplicities 2|0"
     singletons = FROZEN[name]
     yield _eq(name, stripped, Counter({c: 1 if c in singletons else 2 for c in stripped}))
-    yield _frozen("4.codes-total 2|0", sum(census2.values()))
+    yield _eq("4.codes-total 2|0", sum(census2.values()), FROZEN["2.strata 2|0"][4])
 
     yield _frozen("4.codes-census 1|0", code_census(SexticType(1, 0)))
     yield _frozen("4.codes-census 1|1", code_census(SexticType(1, 1)))
@@ -594,31 +597,28 @@ def _criterion_9(rng: random.Random) -> Iterator[CheckResult]:
 
     # Exhaustive obstruction-versus-membership sweep on the four-handle
     # surface: all 16 half-twist patterns x 5^4 fiber twists n x 5^4 split
-    # twists m.  This relies on each route being a term in n plus a term in
-    # m: with N the parity tally of (membership - obstruction) n-terms over
-    # the 625 n, and M that of (obstruction - membership) m-terms over the
-    # 625 m, the routes disagree on N0*M1 + N1*M0 cells of the grid.
-    surface = SurfaceType(4, 0)
-    grid = list(product(range(-2, 3), repeat=4))
+    # twists m.  Membership is the frozen cokernel character of the linear
+    # coordinates; the obstruction route compares the section's fiber bit
+    # with the forced one.  For a fixed kappa each route is a term in n plus
+    # a term in m (membership's m-term needs no kappa): with N the parity
+    # tally of (membership - obstruction) n-terms over the 625 n, and M that
+    # of (obstruction - membership) m-terms, they disagree on N0*M1 + N1*M0.
+    name = "9.obstruction-membership-sweep K#4T2"
+    character = FROZEN[name]
+    surface, grid = SurfaceType(4, 0), list(product(range(-2, 3), repeat=4))
+    m_member = [sum(map(mul, character, _coordinates(surface, split_twists=m))) for m in grid]
     mismatches = 0
     for kappa in product((0, 1), repeat=4):
-        n_parity = Counter()
-        for n in grid:
-            n_total = sum(n)
-            # membership route: parity of drift-coordinate data
-            drift = sum(k + 2 * c - n_total for k, c in zip(kappa, accumulate(n)))
-            eps = n_total % 2
-            # obstruction route: the fiber twists' share of the stored fiber bit
-            n_parity[(drift + eps - n_total) % 2] += 1
-        m_parity = Counter()
-        for m in grid:
-            # obstruction route: forced fiber bit against the stored one
-            fiber_bit = sum(mm * (1 - k) for mm, k in zip(m, kappa))
-            forced = m[0] + m[2] + sum(mm * k for mm, k in zip(m, kappa)) + sum(kappa)
-            # membership route: the split twists' share
-            m_parity[(fiber_bit + forced - (m[1] + m[3])) % 2] += 1
+        n_parity = Counter(
+            (sum(map(mul, character, _coordinates(surface, kappa, n))) - _section_fiber_bit(kappa, n, ())) % 2
+            for n in grid
+        )
+        m_parity = Counter(
+            (_section_fiber_bit(kappa, (), m) + obstruction_kappa(surface, m, kappa) - member) % 2
+            for m, member in zip(grid, m_member)
+        )
         mismatches += n_parity[0] * m_parity[1] + n_parity[1] * m_parity[0]
-    yield _true("9.obstruction-membership-sweep K#4T2", mismatches == 0, f"mismatching normal forms: {mismatches}")
+    yield _true(name, mismatches == 0, f"mismatching normal forms: {mismatches}")
 
     spot_ok = True
     for _ in range(200):

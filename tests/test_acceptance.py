@@ -19,12 +19,15 @@ from pathlib import Path
 import pytest
 
 from conelines import cli, verify
-from conelines.lattices import ALL_SEXTIC_TYPES, GeometricLattice, SexticType
+from conelines.intlinalg import GroupInvariants
+from conelines.lattices import ALL_SEXTIC_TYPES, GeometricLattice, SexticType, SurfaceType, unit_vec
 from conelines.mapping_class import (
     fiber_twist,
     from_linear_coordinates,
+    is_translation_class,
     linear_coordinates,
     split_twist,
+    translation_analysis,
 )
 from conelines.mod2 import q0
 from conftest import HANDLE_KEYS, TYPE_KEYS, src_env
@@ -143,6 +146,23 @@ def test_criterion_01_total_reads_the_strata_table(monkeypatch):
     """The census total and |V1 - R1| are two frozen routes to one number."""
     monkeypatch.setitem(verify.FROZEN, "2.strata 3|0", (128, 2, 64, 1, 62))
     assert {r.name for r in verify.run_criterion(1) if not r.passed} == {"1.total 3|0"}
+
+
+def test_criterion_04_code_totals_read_the_strata_table(monkeypatch):
+    """Each tritangent carries one code, so the code total is |V1 - R1| too."""
+    monkeypatch.setitem(verify.FROZEN, "2.strata 4|0", (256, 1, 120, 0, 119))
+    assert {r.name for r in verify.run_criterion(4) if not r.passed} == {"4.codes-total 4|0"}
+
+
+def test_the_sweeps_membership_character_is_the_translation_cokernel(e8):
+    """The frozen character of the K#4T2 sweep vanishes on exactly the unit
+    linear coordinates that are translation classes, and the cokernel it
+    stands for is the library's Z/2."""
+    character = verify.FROZEN["9.obstruction-membership-sweep K#4T2"]
+    assert translation_analysis(e8).cokernel == GroupInvariants(0, (2,))
+    surface = SurfaceType.from_key("K#4T2")
+    units = [from_linear_coordinates(surface, unit_vec(len(character), j)) for j in range(len(character))]
+    assert [is_translation_class(g) for g in units] == [bit == 0 for bit in character]
 
 
 class _CountedReads(Mapping):
@@ -283,11 +303,27 @@ MUTANTS = [
         {"8.pairing-preserved", "8.composition-coefficient", "8.mod2-reduction"},
         id="8-mw-act-h2-shifts-the-canonical-coefficient",
     ),
+    pytest.param(
+        9,
+        "obstruction_kappa",
+        lambda real: lambda surface, m, k: 1 - real(surface, m, k),
+        {"9.obstruction-membership-sweep K#4T2", "9.obstruction-membership-spot K#4T2"},
+        id="9-obstruction-kappa-flips-the-forced-bit",
+    ),
+    pytest.param(
+        # the spot row reaches the helper through homology_action's own
+        # binding; a constant flip would cancel between the n- and m-terms
+        9,
+        "_section_fiber_bit",
+        lambda real: lambda half, fiber, split: real(half, fiber, split[:-1]),
+        {"9.obstruction-membership-sweep K#4T2"},
+        id="9-section-fiber-bit-drops-the-last-split-twist",
+    ),
 ]
 
 
 @pytest.mark.parametrize("number,name,mutant,failing", MUTANTS)
-def test_families_6_to_8_catch_a_broken_library_call(monkeypatch, number, name, mutant, failing):
+def test_families_6_to_9_catch_a_broken_library_call(monkeypatch, number, name, mutant, failing):
     monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
     rows = {r.name: r.passed for r in verify.run_criterion(number)}
     assert f"{number}.aborted" not in rows

@@ -44,7 +44,9 @@ HANDLE_SURFACES = tuple(SexticType.from_key(k).surface() for k in HANDLE_KEYS)
 #: The handle-free K and K+qS2 take the general formulas at p = 0.
 SECTION_KEYS = tuple(k for k in TYPE_KEYS if k != "|||")
 
-ONE, TWO, FOUR = (SurfaceType.from_key(k) for k in ("K#T2", "K#2T2", "K#4T2"))
+ONE, TWO, FOUR, KK = (SurfaceType.from_key(k) for k in ("K#T2", "K#2T2", "K#4T2", "K+K"))
+
+NO_FRAME = "the double Klein bottle carries no handle frame for section classes"
 
 #: (call, exception type, message) for inputs the public functions refuse.
 REJECTIONS = [
@@ -134,6 +136,13 @@ REJECTIONS = [
     ),
     pytest.param(
         lambda: H1Class(0, (), 1.0), ValueError, "the section coefficient is an int, not 1.0", id="class-section-1.0"
+    ),
+    pytest.param(lambda: zero_delta(KK), UnsupportedTypeError, NO_FRAME, id="zero-delta-double-klein"),
+    pytest.param(
+        lambda: action_matrix(KK, H1Delta(1, ())), UnsupportedTypeError, NO_FRAME, id="action-matrix-double-klein"
+    ),
+    pytest.param(
+        lambda: mw_sum(KK, H1Delta(1, ()), H1Delta(0, ())), UnsupportedTypeError, NO_FRAME, id="mw-sum-double-klein"
     ),
 ]
 

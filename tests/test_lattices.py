@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conelines.cli import gram_fault
 from conelines.lattices import (
+    _GRAPHS,
     _descent,
     ALL_SEXTIC_TYPES,
     SexticType,
@@ -284,6 +285,12 @@ def test_unknown_keys_are_rejected():
     for handles, spheres, double_klein in ((5, 0, False), (1, 0, True)):
         with pytest.raises(ValueError, match="no such surface type"):
             SurfaceType(handles, spheres, double_klein)
+
+
+def test_the_table_of_types_is_read_only():
+    with pytest.raises(TypeError):
+        _GRAPHS["5|0"] = _GRAPHS["4|0"]
+    assert_rejected(lambda: SexticType(5, 0), ValueError, "no such sextic type: 5|0")
 
 
 @pytest.mark.parametrize(

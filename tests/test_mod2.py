@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import math
+import re
 from collections import Counter
 
 import pytest
@@ -275,6 +277,60 @@ def test_e8_mod_2_has_one_plus_120_plus_135_classes(e8):
     with gram_fault():
         faulted = lattice_for("4|0")
     assert _mod_2_split_at_norm_minus_4(faulted) != _mod_2_split_at_norm_minus_4(e8)
+
+
+#: Sorted sizes of the Weyl group's orbits on L/2L, per irreducible root lattice.
+WEYL_ORBIT_SIZES = {"A1": (1, 1), "D4": (1, 1, 1, 1, 12), "D6": (1, 1, 1, 1, 30, 30), "E7": (1, 1, 63, 63), "E8": (1, 120, 135)}
+
+
+def _orbit_sizes_of(name: str) -> list[int]:
+    """The orbit sizes a Dynkin name such as "D4+A1" or "4A1" predicts: a
+    direct sum's orbits are the products of its summands' orbits."""
+    parts = [] if name == "0" else [re.fullmatch(r"(\d*)([ADE]\d)", part).groups() for part in name.split("+")]
+    factors = [WEYL_ORBIT_SIZES[kind] for times, kind in parts for _ in range(int(times or 1))]
+    return sorted(map(math.prod, itertools.product(*factors)))
+
+
+def _weyl_orbits(lattice) -> list[set]:
+    """The residues closed under x -> x + (x.r) r, r the residue of each root."""
+    reflections = {reduce_mod2(lattice, e) for e in enumerate_roots(lattice)}
+    orbits: list[set] = []
+    for x in all_residues(lattice):
+        if any(x in orbit for orbit in orbits):
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            images = {y + r for r in reflections if mod2_pair(y, r)} - orbit
+            orbit |= images
+            frontier += images
+        orbits.append(orbit)
+    return orbits
+
+
+#: Sorted orbit sizes that differ from the Dynkin name's, in the order of
+#: ``lattices_and_a_faulted_e8``: the faulted E8 is A1 + E7.
+ORBIT_SIZES_OFF_THE_NAME = (*(None for _ in TYPE_KEYS), [1, 1, 1, 1, 63, 63, 63, 63])
+
+
+@pytest.mark.parametrize(
+    "lattice,off_the_name", zip(lattices_and_a_faulted_e8(), ORBIT_SIZES_OFF_THE_NAME), ids=FAULTED_IDS
+)
+def test_weyl_orbits_hold_equal_shells_and_follow_the_dynkin_name(lattice, off_the_name):
+    # A reflection preserves the norm, so the residues of one orbit hold
+    # equally many vectors of each norm.  The faulted E8 is consistent with
+    # its own Weyl group, so only the orbit sizes catch it.
+    shells = Counter((reduce_mod2(lattice, w), norm(lattice, w)) for w in vectors_with_norm_at_least(lattice, -10))
+    orbits = _weyl_orbits(lattice)
+    for orbit in orbits:
+        profiles = {tuple(shells[x, n] for n in range(0, -11, -2)) for x in orbit}
+        assert len(profiles) == 1, profiles
+    sizes = sorted(map(len, orbits))
+    assert sum(sizes) == len(all_residues(lattice))
+    if off_the_name is None:
+        assert sizes == _orbit_sizes_of(lattice.name)
+    else:
+        assert sizes == off_the_name != _orbit_sizes_of(lattice.name)
 
 
 @pytest.mark.parametrize("key", TYPE_KEYS)
