@@ -74,6 +74,8 @@ def class_coords(x: H1Class) -> tuple[int, ...]:
 
 def class_from_coords(coords: Sequence[int]) -> H1Class:
     """The class with the given coordinates: the inverse of ``class_coords``."""
+    if len(coords) < 2 or len(coords) % 2:
+        raise ValueError(f"coordinates are a fiber bit, handle pairs and a section coefficient, not {coords!r}")
     return H1Class(coords[0], tuple(zip(coords[1:-1:2], coords[2:-1:2])), coords[-1])
 
 

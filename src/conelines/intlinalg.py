@@ -42,7 +42,8 @@ def _width(a: Rows) -> int:
 
 
 def mat_mul(a: Rows, b: Rows) -> Matrix:
-    if b and any(len(row) != len(b) for row in a):
+    # With no rows in b, a must have no columns; _width(a) refuses a ragged a first.
+    if b and any(len(row) != len(b) for row in a) or not b and _width(a):
         raise ValueError("inner dimensions differ")
     _width(a)
     _width(b)

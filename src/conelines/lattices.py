@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import string
 from collections.abc import Callable, Mapping
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -83,7 +84,7 @@ class UnsupportedTypeError(ValueError):
 
 #: The blanks a type key may carry around it: ASCII whitespace, as
 #: ``string.whitespace``, and no other Unicode space.
-_BLANKS = " \t\n\r\x0b\x0c"
+_BLANKS = string.whitespace
 
 #: (basis names, adjacency edges, lattice name) per type key, in the published
 #: order: the one list of the types.  A basis class named ``O<i>`` is the i-th

@@ -8,7 +8,7 @@ regression in the computational core cannot hide behind its own output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from types import MappingProxyType
 
 from .homology_action import count_line_classes
@@ -49,19 +49,12 @@ def tritangent_table() -> Report:
 def strata_table() -> Report:
     """Sizes of the mod-2 strata of each root lattice."""
     lattices = [build_lattice(sextic) for sextic in _STRATA_TYPES]
-    profiles = [strata_profile(lattice) for lattice in lattices]
-    rows = (
-        ("lattice", *(lattice.name for lattice in lattices)),
-        ("|V|", *(prof.size_v for prof in profiles)),
-        ("|R|", *(prof.size_r for prof in profiles)),
-        ("|V1|", *(prof.size_v1 for prof in profiles)),
-        ("|R1|", *(prof.size_r1 for prof in profiles)),
-        ("|V1 - R1|", *(prof.size_v1_minus_r1 for prof in profiles)),
-    )
+    sizes = [astuple(strata_profile(lattice))[:5] for lattice in lattices]
+    labels = ("|V|", "|R|", "|V1|", "|R1|", "|V1 - R1|")
     return Report(
         title="mod-2 strata sizes by sextic type",
         columns=("quantity", *(s.key for s in _STRATA_TYPES)),
-        rows=rows,
+        rows=(("lattice", *(lattice.name for lattice in lattices)), *zip(labels, *sizes)),
     )
 
 

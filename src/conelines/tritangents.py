@@ -27,6 +27,7 @@ from .lattices import (
     is_root,
 )
 from .mod2 import Mod2Vector, reduce_mod2
+from .translations import coset_representative
 
 
 class TritangentType(str, Enum):
@@ -109,9 +110,8 @@ def oval_bridge_split(lattice: GeometricLattice, x: Mod2Vector) -> OvalBridgeSpl
     if x.lattice != lattice:
         raise ValueError("residue belongs to a different lattice")
     ovals = set(lattice.oval_indices)
-    v_oval = tuple(b if i in ovals else 0 for i, b in enumerate(x.bits))
-    v_bridge = tuple(b if i not in ovals else 0 for i, b in enumerate(x.bits))
-    return OvalBridgeSplit(reduce_mod2(lattice, v_oval), reduce_mod2(lattice, v_bridge))
+    v_oval = reduce_mod2(lattice, tuple(b if i in ovals else 0 for i, b in enumerate(x.bits)))
+    return OvalBridgeSplit(v_oval, x + v_oval)
 
 
 def boundary_delta(lattice: GeometricLattice, v_bridge: Mod2Vector) -> Mod2Vector:
@@ -133,17 +133,15 @@ def boundary_delta(lattice: GeometricLattice, v_bridge: Mod2Vector) -> Mod2Vecto
     return reduce_mod2(lattice, bits)
 
 
-def _band_label(e: Vec) -> str:
-    # Roots of the band-type lattice fall into the four bridge classes
-    # (label J1) and eight half-sum classes.  A half-sum is recognized by
-    # its first coordinate being +/-1; its sign pattern has a well-defined
-    # minus-count parity, which separates the two band components.
-    if abs(e[0]) != 1:
-        return "J1"
-    eps4 = -e[0]
-    eps = [2 * e[i] + eps4 for i in (1, 2, 3)] + [eps4]
-    minus = sum(1 for s in eps if s < 0)
-    return "BAND_A" if minus % 2 == 0 else "BAND_B"
+def _band_label(lattice: GeometricLattice, x: Mod2Vector) -> str:
+    # The band type's root residues fill the three nonzero cosets of the
+    # radical: the outer bridges B1, B2, B3 share J1's, the central bridge
+    # B0 lies in BAND_A's, and BAND_B is the third.
+    rep = coset_representative(x)
+    for label, bridge in (("J1", 1), ("BAND_A", 0)):
+        if rep == coset_representative(reduce_mod2(lattice, lattice.basis_vector(bridge))):
+            return label
+    return "BAND_B"
 
 
 def classify_root(lattice: GeometricLattice, e: Vec) -> Tritangent:
@@ -153,7 +151,7 @@ def classify_root(lattice: GeometricLattice, e: Vec) -> Tritangent:
     sx = lattice.sextic
     pair_ = canonical_root_pair(e)
     if not sx.pos_ovals:
-        code = Code((), None, _band_label(e)) if sx.bands else None
+        code = Code((), None, _band_label(lattice, reduce_mod2(lattice, e))) if sx.bands else None
         return Tritangent(pair_, frozenset(), frozenset(), TritangentType.T0, code)
 
     x = reduce_mod2(lattice, e)

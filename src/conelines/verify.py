@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
+from dataclasses import astuple, dataclass
 from itertools import combinations, product
 from operator import mul
-from typing import Iterator
+from types import MappingProxyType
 
 from .homology_action import (
     H1Delta,
@@ -136,12 +137,12 @@ def _true(name: str, holds: bool, detail: str = "") -> CheckResult:
 # frozen expectations
 
 
-#: Every expected number of the report, keyed by the row that checks it, in
-#: report order.  An entry is the row's expected value or the frozen data the
+#: Every expected number of the report, read-only, keyed by the row that checks it,
+#: in report order.  An entry is the row's expected value or the frozen data the
 #: row computes it from: the code atlas, the two-oval singletons, the kernel
 #: generators, the involution chains and a cokernel character.  Each tritangent
 #: carries one code, so ``1.total`` and ``4.codes-total`` read |V1 - R1| from ``2.strata``.
-FROZEN: dict[str, object] = {
+FROZEN: Mapping[str, object] = MappingProxyType({
     # positive tritangents per type: T0, T0*, T1, T2, T3
     "1.census 4|0": (4, 4, 32, 48, 32),
     "1.census 3|0": (4, 3, 24, 24, 8),
@@ -232,7 +233,7 @@ FROZEN: dict[str, object] = {
     "11.count K#4T2": None, "11.count K#3T2": None, "11.count K#2T2": None, "11.count K#T2": None,
     "11.count K": 2, "11.count K#T2+S2": None, "11.count K+K": 4, "11.count K+S2": 2,
     "11.count K+2S2": 2, "11.count K+3S2": 2, "11.count K+4S2": 1,
-}
+})
 
 #: The row whose entry is the code atlas, which the derived code sets read too.
 _ATLAS = "4.codes-multiset 4|0"
@@ -304,19 +305,11 @@ def _criterion_2(rng: random.Random) -> Iterator[CheckResult]:
     """Mod-2 strata sizes and the odd-radical halving identity."""
     profiles = {sextic.key: strata_profile(build_lattice(sextic)) for sextic in ALL_SEXTIC_TYPES}
     for key, profile in profiles.items():
-        sizes = (
-            profile.size_v,
-            profile.size_r,
-            profile.size_v1,
-            profile.size_r1,
-            profile.size_v1_minus_r1,
-        )
-        yield _frozen(f"2.strata {key}", sizes)
+        yield _frozen(f"2.strata {key}", astuple(profile)[:5])
         yield _frozen(f"2.radical-values {key}", profile.r_counts)
     for key in ("0|0", "1|0", "2|0", "3|0", "0|1", "0|2", "0|3"):
-        profile = profiles[key]
-        odd = profile.r_counts[1] + profile.r_counts[3]
-        yield _eq(f"2.odd-radical-half {key}", 2 * odd, profile.size_r)
+        counts = profiles[key].r_counts
+        yield _eq(f"2.odd-radical-half {key}", 2 * (counts[1] + counts[3]), sum(counts))
 
 
 def _criterion_3(rng: random.Random) -> Iterator[CheckResult]:
@@ -658,7 +651,7 @@ def _criterion_11(rng: random.Random) -> Iterator[CheckResult]:
         yield _eq(f"11.vanishing-orbit {surface.key}", len(orbit), samples)
 
 
-_CRITERIA = {
+_CRITERIA = MappingProxyType({
     1: _criterion_1,
     2: _criterion_2,
     3: _criterion_3,
@@ -670,15 +663,18 @@ _CRITERIA = {
     9: _criterion_9,
     10: _criterion_10,
     11: _criterion_11,
-}
+})
 
 
 def run_criterion(number: int, seed: int = 0) -> list[CheckResult]:
     """Run one numbered check family; an exception becomes its one failed check.
 
     The family's rows are collected inside the ``try``, so a family that
-    raises part way reports only the ``N.aborted`` row.
+    raises part way reports only the ``N.aborted`` row.  An unknown family
+    number raises ``ValueError``.
     """
+    if number not in _CRITERIA:
+        raise ValueError(f"no check family {number!r}: the families are {sorted(_CRITERIA)}")
     rng = random.Random((seed << 16) + number)
     try:
         return list(_CRITERIA[number](rng))

@@ -144,14 +144,27 @@ def test_criterion_09_checks_d6_against_the_librarys_realizability_rule(monkeypa
 
 def test_criterion_01_total_reads_the_strata_table(monkeypatch):
     """The census total and |V1 - R1| are two frozen routes to one number."""
-    monkeypatch.setitem(verify.FROZEN, "2.strata 3|0", (128, 2, 64, 1, 62))
+    monkeypatch.setattr(verify, "FROZEN", {**verify.FROZEN, "2.strata 3|0": (128, 2, 64, 1, 62)})
     assert {r.name for r in verify.run_criterion(1) if not r.passed} == {"1.total 3|0"}
 
 
 def test_criterion_04_code_totals_read_the_strata_table(monkeypatch):
     """Each tritangent carries one code, so the code total is |V1 - R1| too."""
-    monkeypatch.setitem(verify.FROZEN, "2.strata 4|0", (256, 1, 120, 0, 119))
+    monkeypatch.setattr(verify, "FROZEN", {**verify.FROZEN, "2.strata 4|0": (256, 1, 120, 0, 119)})
     assert {r.name for r in verify.run_criterion(4) if not r.passed} == {"4.codes-total 4|0"}
+
+
+@pytest.mark.parametrize("table", ("FROZEN", "_CRITERIA"))
+def test_the_module_tables_are_read_only(table):
+    with pytest.raises(TypeError):
+        getattr(verify, table)[1] = None
+
+
+def test_an_unknown_family_is_refused_before_its_rng_is_seeded(monkeypatch):
+    monkeypatch.setattr(verify, "random", None)  # seeding would raise AttributeError
+    for number in (0, 12):
+        with pytest.raises(ValueError, match=f"no check family {number}"):
+            verify.run_criterion(number)
 
 
 def test_the_sweeps_membership_character_is_the_translation_cokernel(e8):

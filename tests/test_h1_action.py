@@ -10,6 +10,7 @@ from conelines.homology_action import (
     H1Delta,
     action_matrix,
     action_mul,
+    class_from_coords,
     class_of_section,
     count_line_classes,
     delta_to_class,
@@ -143,6 +144,15 @@ REJECTIONS = [
     ),
     pytest.param(
         lambda: mw_sum(KK, H1Delta(1, ()), H1Delta(0, ())), UnsupportedTypeError, NO_FRAME, id="mw-sum-double-klein"
+    ),
+    *(
+        pytest.param(
+            lambda coords=coords: class_from_coords(coords),
+            ValueError,
+            f"coordinates are a fiber bit, handle pairs and a section coefficient, not {coords!r}",
+            id=f"class-from-{len(coords)}-coords",
+        )
+        for coords in ((0, 5, 1), (1,), ())
     ),
 ]
 

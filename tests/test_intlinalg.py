@@ -38,6 +38,7 @@ REJECTIONS = [
     pytest.param(
         lambda: mat_mul([[1, 2], [1, 2, 3]], [[1], [2]]), ValueError, "inner dimensions differ", id="mat-mul-ragged"
     ),
+    pytest.param(lambda: mat_mul([[1, 2]], []), ValueError, "inner dimensions differ", id="mat-mul-empty-right"),
     pytest.param(
         lambda: solve_left([[1, 2]], (1,)), ValueError, "right-hand side has wrong length", id="solve-left"
     ),

@@ -18,9 +18,12 @@ from conelines.tritangents import (
     oval_bridge_split,
     pair_census,
     real_tritangent_total,
+    threeJ_grouping,
     type_census,
 )
 from conftest import HANDLE_KEYS, TYPE_KEYS, assert_rejected, lattice_for, odd_residues_outside_r1
+
+OVAL_KEYS = tuple(key for key in TYPE_KEYS if SexticType.from_key(key).pos_ovals)
 
 TANGENCY_COUNT = {
     TritangentType.T0: 0,
@@ -143,13 +146,30 @@ def test_both_halves_total(key, total):
     )
 
 
-def test_oval_bridge_split_is_a_supported_decomposition(d6):
-    for t in enumerate_tritangents(SexticType.from_key("2|0")):
-        x = reduce_mod2(d6, t.root_pair[0])
-        split = oval_bridge_split(d6, x)
+@pytest.mark.parametrize("key", OVAL_KEYS)
+def test_oval_bridge_split_is_a_supported_decomposition(key):
+    lattice = lattice_for(key)
+    for t in enumerate_tritangents(lattice.sextic):
+        x = reduce_mod2(lattice, t.root_pair[0])
+        split = oval_bridge_split(lattice, x)
         assert split.v_oval + split.v_bridge == x
-        assert set(split.v_oval.support()) <= set(d6.oval_indices)
-        assert set(split.v_bridge.support()) <= set(d6.bridge_indices)
+        assert set(split.v_oval.support()) <= set(lattice.oval_indices)
+        assert set(split.v_bridge.support()) <= set(lattice.bridge_indices)
+
+
+def test_the_band_groups_are_the_nonzero_cosets_of_the_radical(d4_band):
+    # The cosets are built here as sets x + R, not read from the library's
+    # coset representatives.  The three groups fill the three cosets besides
+    # R itself; the outer bridges lie in J1's and the central bridge in BAND_A's.
+    radical = frozenset(radical_elements(d4_band))
+    assert len(radical) == 4
+    cosets = {}
+    for label, group in threeJ_grouping().items():
+        (cosets[label],) = {frozenset(reduce_mod2(d4_band, t.root_pair[0]) + r for r in radical) for t in group}
+    assert len(set(cosets.values())) == 3 and radical not in cosets.values()
+    bridges = {name: reduce_mod2(d4_band, d4_band.basis_vector(i)) for i, name in enumerate(d4_band.basis_names)}
+    assert {name for name, x in bridges.items() if x in cosets["J1"]} == {"B1", "B2", "B3"}
+    assert {name for name, x in bridges.items() if x in cosets["BAND_A"]} == {"B0"}
 
 
 def test_boundary_of_a_bridge_hits_its_ovals(d6):
@@ -227,7 +247,8 @@ def test_a_cold_census_builds_no_residue_beyond_the_table(key, monkeypatch):
     finally:
         lattices._LATTICES.reset(token)
     assert len(census) == len(enumerate_tritangents(SexticType.from_key(key)))
-    # Only the types with ovals split residues; each builds its quotient once.
+    # The types with ovals split residues and the band type reads their
+    # cosets of the radical; each of these builds its quotient once.
     sextic = fresh.sextic
-    assert len(built) == (0 if sextic.bands or not sextic.pos_ovals else 1 << fresh.rank)
+    assert len(built) == (0 if not (sextic.pos_ovals or sextic.bands) else 1 << fresh.rank)
     assert len(set(built)) == len(built)
