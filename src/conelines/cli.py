@@ -1,6 +1,7 @@
 """Command-line front end: census tables, classification listings, checks.
 
-Four subcommands share one report pipeline:
+Four subcommands share one report pipeline.  Each subparser names its
+handler (``set_defaults(run=...)``), which reads the parsed arguments:
 
 * ``tables`` renders the census/analysis tables (always recomputed);
 * ``classify`` lists every positive tritangent of one curve type;
@@ -70,17 +71,11 @@ def _render_csv(reports: Sequence[Report]) -> str:
     return out.getvalue()
 
 
-def _report_object(report: Report, meta: dict) -> dict:
-    return {
-        "title": report.title,
-        "columns": list(report.columns),
-        "rows": [list(row) for row in report.rows],
-        "meta": meta,
-    }
-
-
 def _render_json(reports: Sequence[Report], meta: dict) -> str:
-    objects = [_report_object(r, meta) for r in reports]
+    objects = [
+        {"title": r.title, "columns": list(r.columns), "rows": [list(row) for row in r.rows], "meta": meta}
+        for r in reports
+    ]
     payload = objects[0] if len(objects) == 1 else objects
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -120,12 +115,12 @@ def _fmt_mods(g: ModSElement) -> str:
 # subcommands
 
 
-def cmd_tables(which: str) -> tuple[Sequence[Report], int]:
-    return (all_tables() if which == "all" else (TABLES[which](),)), 0
+def cmd_tables(args: argparse.Namespace) -> tuple[Sequence[Report], int]:
+    return (all_tables() if args.which == "all" else (TABLES[args.which](),)), 0
 
 
-def cmd_classify(type_key: str) -> tuple[Sequence[Report], int]:
-    sextic = SexticType.from_key(type_key)
+def cmd_classify(args: argparse.Namespace) -> tuple[Sequence[Report], int]:
+    sextic = SexticType.from_key(args.type)
     order = {t: i for i, t in enumerate(TritangentType)}
     listing = sorted(
         enumerate_tritangents(sextic),
@@ -168,12 +163,12 @@ def gram_fault() -> Iterator[None]:
         lattices._LATTICES.reset(token)
 
 
-def cmd_verify(seed: int, fault: str | None) -> tuple[Sequence[Report], int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[Sequence[Report], int]:
     # Imported here: the other subcommands need none of the checks.
     from .verify import run_all
 
-    with gram_fault() if fault == "gram" else nullcontext():
-        results = run_all(seed)
+    with gram_fault() if args.fault else nullcontext():
+        results = run_all(args.seed)
     failed = sum(1 for r in results if not r.passed)
     rows = [
         (r.name, "PASS" if r.passed else "FAIL", r.observed, r.expected)
@@ -195,18 +190,16 @@ def cmd_verify(seed: int, fault: str | None) -> tuple[Sequence[Report], int]:
     return (report,), (1 if failed else 0)
 
 
-def cmd_act(
-    surface_key: str, vector_text: str, class_text: str, mod2: bool
-) -> tuple[Sequence[Report], int]:
-    surface = SurfaceType.from_key(surface_key)
+def cmd_act(args: argparse.Namespace) -> tuple[Sequence[Report], int]:
+    surface = SurfaceType.from_key(args.surface)
     lattice = build_lattice(surface.sextic())
-    vector = _parse_ints(vector_text, "the translation vector")
+    vector = _parse_ints(args.vector, "the translation vector")
     if len(vector) != lattice.rank:
         raise ValueError(
             f"translation vector has {len(vector)} coordinates, "
             f"but the {surface.key} lattice has rank {lattice.rank}"
         )
-    coords = _parse_ints(class_text, "the class")
+    coords = _parse_ints(args.klass, "the class")
     g = translation_class(lattice, vector)
     rows: list[tuple[str, str]] = [
         ("surface", surface.key),
@@ -214,7 +207,7 @@ def cmd_act(
         ("translation", _fmt_mods(g)),
     ]
 
-    if mod2:
+    if args.mod2:
         if len(coords) != lattice.rank + 2:
             raise ValueError(
                 f"a mod-2 class on {surface.key} takes {lattice.rank + 2} coordinates "
@@ -265,16 +258,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tables = sub.add_parser("tables", parents=[common], help="render census tables")
     p_tables.add_argument("which", choices=(*TABLES, "all"))
+    p_tables.set_defaults(run=cmd_tables)
 
     p_classify = sub.add_parser(
         "classify", parents=[common], help="list the positive tritangents of one type"
     )
     p_classify.add_argument("type", help="curve type such as 4|0, 1|1, 0|2, or |||")
+    p_classify.set_defaults(run=cmd_classify)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run all acceptance checks")
     p_verify.add_argument(
         "--fault", choices=("gram",), default=None, help="corrupt one lattice, so the checks fail"
     )
+    p_verify.set_defaults(run=cmd_verify)
 
     p_act = sub.add_parser(
         "act", parents=[common], help="apply a translation to a homology class"
@@ -283,6 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_act.add_argument("vector", help="comma-separated lattice coordinates")
     p_act.add_argument("klass", metavar="class", help="comma-separated class coordinates")
     p_act.add_argument("--mod2", action="store_true", help="act on mod-2 classes")
+    p_act.set_defaults(run=cmd_act)
     return parser
 
 
@@ -325,15 +322,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error('"--" may stand only once')
 
     try:
-        if args.command == "tables":
-            reports, code = cmd_tables(args.which)
-        elif args.command == "classify":
-            reports, code = cmd_classify(args.type)
-        elif args.command == "verify":
-            reports, code = cmd_verify(args.seed, args.fault)
-        else:
-            reports, code = cmd_act(args.surface, args.vector, args.klass, args.mod2)
-
+        reports, code = args.run(args)
         text = render(reports, args.format, {"version": __version__, "seed": args.seed})
         if args.out is None:
             sys.stdout.write(text)

@@ -11,7 +11,7 @@ and the parity obstruction singling out the classes realizable by real
 lines.  The double Klein bottle has no such frame, and every function
 that reads one refuses it.  ``realizable_mod2`` forces the fiber bit on
 three surfaces, K#4T2, K#T2+S2 and K+4S2; ``obstruction_kappa`` writes it
-in closed form on the first two.  ``split_twist_preimage`` pulls a split twist back to
+in closed form on all three.  ``split_twist_preimage`` pulls a split twist back to
 a lattice vector by ``mapping_class._translation_preimage``, the one
 solve that also decides ``is_translation_class``.
 """
@@ -217,9 +217,9 @@ def obstruction_kappa(surface: SurfaceType, m: tuple[int, ...], k: tuple[int, ..
 
     Three surface types constrain the fiber coefficient (see
     ``translations.realizable_mod2``): K#4T2, K#T2+S2 and K+4S2.  This
-    closed form covers the first two and raises ``UnsupportedTypeError``
-    on every other surface, K+4S2 included: there the bit is forced, but
-    a section difference carries no handle data to write it in.
+    closed form covers all three and raises ``UnsupportedTypeError`` on
+    every other surface.  K+4S2's lattice has rank 0, so its only section
+    difference is the zero one, and the forced bit is q0(0) = 0.
     """
     p = surface.handles
     if len(m) != p or len(k) != p:
@@ -230,6 +230,8 @@ def obstruction_kappa(surface: SurfaceType, m: tuple[int, ...], k: tuple[int, ..
         return (m[0] + m[2] + sum(map(mul, m, k)) + sum(k)) % 2
     if (p, surface.spheres) == (1, 1):
         return 1 if k[0] == 1 else m[0] % 2
+    if (p, surface.spheres) == (0, 4):
+        return 0
     raise UnsupportedTypeError(f"no closed form for the forced fiber bit on {surface}")
 
 

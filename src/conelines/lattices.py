@@ -518,6 +518,8 @@ _LATTICES: ContextVar[Mapping[str, GeometricLattice]] = ContextVar(
 
 def build_lattice(sextic: SexticType) -> GeometricLattice:
     """The geometric root lattice of a sextic type, in its normative basis."""
+    if type(sextic) is not SexticType:
+        raise ValueError(f"build_lattice takes a SexticType, not {sextic!r}")
     return _LATTICES.get()[sextic.key]
 
 

@@ -26,7 +26,7 @@ import random
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import astuple, dataclass
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from operator import mul
 from types import MappingProxyType
 
@@ -61,12 +61,15 @@ from .lattices import (
 from .mapping_class import (
     ModSElement,
     _coordinates,
+    fiber_twist,
+    handle_half_twist,
     is_translation_class,
     mods_delta,
     mods_element,
     mods_identity,
     mods_mul,
     mods_group_structure,
+    split_twist,
     translation_analysis,
     translation_class,
 )
@@ -514,6 +517,21 @@ def _criterion_7(rng: random.Random) -> Iterator[CheckResult]:
     yield _true("7.matrix-multiplicative", multiplicative)
     yield _true("7.matrix-matches-sum-law", law_match)
     yield _true("7.triangular-blocks", triangular)
+
+    # The composite MW_R -> Mod_S -> section differences: section_delta
+    # carries the product to mw_sum on every unordered pair of a fixed grid
+    # (the basis translations and the twists at each handle; no rng draws).
+    for surface in (s for s in ALL_SURFACE_TYPES if not s.double_klein):
+        lattice, p = build_lattice(surface.sextic()), surface.handles
+        grid = [translation_class(lattice, lattice.basis_vector(j)) for j in range(lattice.rank)]
+        twists = (fiber_twist, split_twist, handle_half_twist)
+        grid += [t(surface, i) for i in range(1, p + 1) for t in twists] if p else [fiber_twist(surface)]
+        deltas = {g: section_delta(g) for g in grid}
+        failing = sum(
+            section_delta(mods_mul(g, h)) != mw_sum(surface, deltas[g], deltas[h])
+            for g, h in combinations_with_replacement(grid, 2)
+        )
+        yield _true(f"7.section-delta-law {surface.key}", failing == 0, f"failing pairs: {failing}")
 
 
 def _shadow(lattice: GeometricLattice, x: H2ClassX) -> H1Mod2Class:

@@ -255,6 +255,16 @@ def _shifted_canon(act):
     return shifted
 
 
+def _unsigned_handles(delta_of):
+    """Each handle pair's m times (-1)^(1-k) once more, which drops the sign."""
+
+    def unsigned(g):
+        d = delta_of(g)
+        return dataclasses.replace(d, pairs=tuple(((-1) ** (1 - k) * m, k) for m, k in d.pairs))
+
+    return unsigned
+
+
 def _negated_sum(real):
     """Minus the sum of the coordinates: commutative but not associative,
     and the real law wherever every coordinate is a bit mod 2."""
@@ -306,8 +316,21 @@ MUTANTS = [
         7,
         "mw_sum",
         lambda real: lambda surface, d1, d2: d1,
-        {"7.matrix-multiplicative", "7.matrix-matches-sum-law", "7.triangular-blocks"},
+        {
+            "7.matrix-multiplicative",
+            "7.matrix-matches-sum-law",
+            "7.triangular-blocks",
+            *(f"7.section-delta-law {key}" for key in SURFACE_KEYS if key != "K+K"),
+        },
         id="7-mw-sum-keeps-the-first-difference",
+    ),
+    pytest.param(
+        7,
+        "section_delta",
+        _unsigned_handles,
+        # the handle-free surfaces carry no handle pairs to sign
+        {f"7.section-delta-law {SexticType.from_key(key).surface().key}" for key in HANDLE_KEYS},
+        id="7-section-delta-drops-the-handle-sign",
     ),
     pytest.param(
         8,

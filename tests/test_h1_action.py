@@ -37,6 +37,8 @@ from conelines.mapping_class import (
     translation_analysis,
     translation_class,
 )
+from conelines.mod2 import zero_residue
+from conelines.translations import H1Mod2Class, realizable_mod2
 from conftest import HANDLE_KEYS, TYPE_KEYS, assert_rejected, lattice_for
 
 HANDLE_SURFACES = tuple(SexticType.from_key(k).surface() for k in HANDLE_KEYS)
@@ -259,10 +261,11 @@ def test_obstruction_is_only_defined_where_the_parity_binds():
         obstruction_kappa(SexticType.from_key("2|0").surface(), (0, 0), (0, 0))
     with pytest.raises(UnsupportedTypeError):
         obstruction_kappa(SurfaceType.from_key("K#3T2"), (0, 0, 0), (0, 0, 0))
-    # realizable_mod2 forces the fiber bit on K+4S2; only the closed form is missing
-    with pytest.raises(UnsupportedTypeError) as raised:
-        obstruction_kappa(SurfaceType.from_key("K+4S2"), (), ())
-    assert "no parity constraint" not in str(raised.value)
+    # on K+4S2 the closed form is the bit realizable_mod2 forces on the zero residue
+    surface = SurfaceType.from_key("K+4S2")
+    zero = zero_residue(build_lattice(surface.sextic()))
+    forced = [mu for mu in (0, 1) if realizable_mod2(surface, H1Mod2Class(mu, zero, 1))]
+    assert forced == [obstruction_kappa(surface, (), ())] == [0]
 
 
 @pytest.mark.parametrize("key", SECTION_KEYS)

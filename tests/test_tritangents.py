@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from conelines import lattices
-from conelines.lattices import SexticType, UnsupportedTypeError, is_root, unit_vec
+from conelines.lattices import SexticType, SurfaceType, UnsupportedTypeError, build_lattice, is_root, unit_vec
 from conelines.mod2 import Mod2Vector, all_residues, radical_elements, reduce_mod2, zero_residue
 from conelines.tritangents import (
     TritangentType,
@@ -90,6 +90,22 @@ REJECTIONS = [
         ValueError,
         "not a root of the ||| lattice: (5, 0, 0, 0)",
         id="classify-a-long-vector-on-bands",
+    ),
+    # a surface type reaches its lattice through .sextic() only
+    *(
+        pytest.param(
+            lambda call=call, surface=surface: call(surface),
+            ValueError,
+            f"build_lattice takes a SexticType, not {surface!r}",
+            id=f"{call.__name__}-of-a-surface-type",
+        )
+        for call, surface in (
+            (build_lattice, SurfaceType(4, 0)),
+            (enumerate_tritangents, SurfaceType(1, 1)),
+            (pair_census, SurfaceType(0, 2)),
+            (real_tritangent_total, SurfaceType(4, 0)),
+            (type_census, SurfaceType(0, 0, double_klein=True)),
+        )
     ),
 ]
 
