@@ -1,7 +1,8 @@
 """Command-line front end: census tables, classification listings, checks.
 
 Four subcommands share one report pipeline.  Each subparser names its
-handler (``set_defaults(run=...)``), which reads the parsed arguments:
+handler (``set_defaults(run=...)``), which reads the parsed arguments and
+imports the library layers it needs, so a request loads only its own:
 
 * ``tables`` renders the census/analysis tables (always recomputed);
 * ``classify`` lists every positive tritangent of one curve type;
@@ -27,16 +28,14 @@ import json
 import re
 import sys
 from contextlib import contextmanager, nullcontext
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import __version__, lattices
-from .homology_action import action_matrix, class_coords, class_from_coords, section_delta
 from .lattices import SexticType, SurfaceType, build_lattice
-from .mapping_class import ModSElement, _slots, translation_class
-from .mod2 import Mod2Vector
 from .tables import TABLES, Report, all_tables
-from .translations import H1Mod2Class, mw_act_h1_mod2
-from .tritangents import TritangentType, enumerate_tritangents
+
+if TYPE_CHECKING:
+    from .mapping_class import ModSElement
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +107,8 @@ def _fmt_set(s: frozenset[int]) -> str:
 
 
 def _fmt_mods(g: ModSElement) -> str:
+    from .mapping_class import _slots
+
     return " ".join(f"{slot.split('_')[0]}={getattr(g, slot)}" for slot in _slots(g.surface))
 
 
@@ -120,6 +121,8 @@ def cmd_tables(args: argparse.Namespace) -> tuple[Sequence[Report], int]:
 
 
 def cmd_classify(args: argparse.Namespace) -> tuple[Sequence[Report], int]:
+    from .tritangents import TritangentType, enumerate_tritangents
+
     sextic = SexticType.from_key(args.type)
     order = {t: i for i, t in enumerate(TritangentType)}
     listing = sorted(
@@ -164,7 +167,6 @@ def gram_fault() -> Iterator[None]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[Sequence[Report], int]:
-    # Imported here: the other subcommands need none of the checks.
     from .verify import run_all
 
     with gram_fault() if args.fault else nullcontext():
@@ -191,6 +193,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[Sequence[Report], int]:
 
 
 def cmd_act(args: argparse.Namespace) -> tuple[Sequence[Report], int]:
+    from .mapping_class import translation_class
+
     surface = SurfaceType.from_key(args.surface)
     lattice = build_lattice(surface.sextic())
     vector = _parse_ints(args.vector, "the translation vector")
@@ -208,6 +212,9 @@ def cmd_act(args: argparse.Namespace) -> tuple[Sequence[Report], int]:
     ]
 
     if args.mod2:
+        from .mod2 import Mod2Vector
+        from .translations import H1Mod2Class, mw_act_h1_mod2
+
         if len(coords) != lattice.rank + 2:
             raise ValueError(
                 f"a mod-2 class on {surface.key} takes {lattice.rank + 2} coordinates "
@@ -218,6 +225,8 @@ def cmd_act(args: argparse.Namespace) -> tuple[Sequence[Report], int]:
         rows.append(("class in", str((x.mu, *x.v_part.bits, x.nu))))
         rows.append(("class out", str((y.mu, *y.v_part.bits, y.nu))))
     else:
+        from .homology_action import action_matrix, class_coords, class_from_coords, section_delta
+
         matrix = action_matrix(surface, section_delta(g))
         dim = len(matrix.entries)
         if len(coords) != dim:

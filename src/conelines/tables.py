@@ -4,6 +4,8 @@ Every entry is computed on the spot from root enumeration and integer
 linear algebra; nothing in this module stores expected numbers.  The
 frozen expectations live with the verification checks instead, so that a
 regression in the computational core cannot hide behind its own output.
+Each table imports its own layer when it is built, so importing this
+module loads only ``lattices``.
 """
 
 from __future__ import annotations
@@ -11,11 +13,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from types import MappingProxyType
 
-from .homology_action import count_line_classes
 from .lattices import ALL_SEXTIC_TYPES, SexticType, SurfaceType, build_lattice
-from .mapping_class import mods_group_structure, translation_analysis
-from .mod2 import strata_profile
-from .tritangents import TritangentType, type_census
 
 #: The types in the published column order of the strata grid: a stable
 #: sort of ``ALL_SEXTIC_TYPES`` that moves the oval-free ``0|q`` types
@@ -36,6 +34,8 @@ class Report:
 
 def tritangent_table() -> Report:
     """Count grid of positive tritangents by type and sextic type."""
+    from .tritangents import TritangentType, type_census
+
     censuses = [type_census(sextic) for sextic in ALL_SEXTIC_TYPES]
     rows = [(ttype.value, *(census[ttype] for census in censuses)) for ttype in TritangentType]
     rows.append(("total", *(sum(census.values()) for census in censuses)))
@@ -48,6 +48,8 @@ def tritangent_table() -> Report:
 
 def strata_table() -> Report:
     """Sizes of the mod-2 strata of each root lattice."""
+    from .mod2 import strata_profile
+
     lattices = [build_lattice(sextic) for sextic in _STRATA_TYPES]
     sizes = [astuple(strata_profile(lattice))[:5] for lattice in lattices]
     labels = ("|V|", "|R|", "|V1|", "|R1|", "|V1 - R1|")
@@ -60,6 +62,8 @@ def strata_table() -> Report:
 
 def mw_table() -> Report:
     """Group, image, kernel and cokernel of the translation homomorphism."""
+    from .mapping_class import mods_group_structure, translation_analysis
+
     rows = []
     for sextic in ALL_SEXTIC_TYPES:
         lattice = build_lattice(sextic)
@@ -105,6 +109,8 @@ def line_class_table() -> Report:
     The families come in the order of their first type in the strata grid,
     and each shows the count of that first surface.
     """
+    from .homology_action import count_line_classes
+
     families: dict[str, SurfaceType] = {}
     for sextic in _STRATA_TYPES:
         surface = sextic.surface()

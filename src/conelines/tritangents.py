@@ -227,7 +227,7 @@ def pair_census(sextic: SexticType) -> dict[tuple[frozenset[int], frozenset[int]
 
 def code_census(sextic: SexticType) -> Counter[str]:
     """Multiset of serialized crossing codes over the whole census."""
-    if not sextic.pos_ovals:
+    if not build_lattice(sextic).sextic.pos_ovals:
         raise UnsupportedTypeError(f"type {sextic} has no crossing codes")
     return Counter(t.code.serialize() for t in enumerate_tritangents(sextic))
 

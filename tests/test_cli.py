@@ -7,6 +7,7 @@ import runpy
 import subprocess
 import sys
 import threading
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelines import cli
+from conelines import cli, homology_action, mapping_class, translations, tritangents
 from conelines.homology_action import class_of_section
 from conelines.lattices import SexticType, build_lattice
 from conelines.mapping_class import translation_class
@@ -313,6 +314,74 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("## ")
+
+
+def loaded_modules(code: str, *argv: str) -> set[str]:
+    """The ``conelines`` modules a fresh process holds after running ``code`` with ``argv``."""
+    listing = "import sys; print(*(m for m in sys.modules if m.split('.')[0] == 'conelines'))"
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{listing}", *argv],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_cli_loads_no_library_layer():
+    assert loaded_modules("import conelines.cli") == {
+        "conelines",
+        "conelines.cli",
+        "conelines.lattices",
+        "conelines.tables",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,unloaded",
+    [
+        (("classify", "4|0"), ("mapping_class", "intlinalg", "homology_action", "verify")),
+        (("act", "K#T2", "-3,-1,1,0,0", "1,0,1,0,0,0,1", "--mod2"), ("homology_action", "tritangents")),
+        (("tables", "lattices"), ("mapping_class", "homology_action", "tritangents")),
+    ],
+    ids=("classify", "act-mod2", "tables-lattices"),
+)
+def test_a_request_loads_only_its_own_layers(argv, unloaded):
+    loaded = loaded_modules("import sys; from conelines import cli; assert cli.main(sys.argv[1:]) == 0", *argv)
+    assert "conelines.cli" in loaded
+    assert loaded.isdisjoint(f"conelines.{name}" for name in unloaded)
+
+
+@pytest.mark.parametrize(
+    "argv,targets",
+    [
+        (
+            ("act", "K#T2", "0,1,0,0,0", "0,0,0,1"),
+            ((mapping_class, "translation_class"), (homology_action, "action_matrix")),
+        ),
+        (
+            ("act", "K#T2", "0,1,0,0,0", "0,0,1,0,0,0,1", "--mod2"),
+            ((mapping_class, "translation_class"), (translations, "mw_act_h1_mod2")),
+        ),
+        (("classify", "4|0"), ((tritangents, "enumerate_tritangents"),)),
+    ],
+    ids=("act", "act-mod2", "classify"),
+)
+def test_handlers_read_the_library_when_they_run(monkeypatch, capsys, argv, targets):
+    # A tracer rebinds module attributes, so a handler must look them up at call time.
+    calls = Counter()
+    for module, name in targets:
+
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert set(calls) == {name for _, name in targets}
 
 
 #: Command lines that succeed, the seeds of the fuzzed ones.

@@ -101,6 +101,7 @@ REJECTIONS = [
         )
         for call, surface in (
             (build_lattice, SurfaceType(4, 0)),
+            (code_census, SurfaceType(4, 0)),
             (enumerate_tritangents, SurfaceType(1, 1)),
             (pair_census, SurfaceType(0, 2)),
             (real_tritangent_total, SurfaceType(4, 0)),
