@@ -5,8 +5,10 @@ transforms, which is what the mapping-class computations need: left
 kernels of generator matrices, membership in row spans with exact
 divisibility conditions, and invariant factors of finitely generated
 quotients.  ``row_hermite_form`` is the only elimination routine: the
-left kernel and row-span solves read off its transform, and the Smith
-form alternates Hermite forms of a matrix and of its transpose.
+left kernel reads off its transform, the one row-span solve,
+``peel_left``, peels against a Hermite form and its transform (a kept one
+or ``solve_left``'s fresh one), and the Smith form alternates Hermite
+forms of a matrix and of its transpose.
 Results are plain lists of lists of ints.  Inputs may be any sequences
 of integer rows (a lattice's translation table passes tuples); they
 are copied and never written, and a ragged one raises ``ValueError``.
@@ -167,26 +169,36 @@ def left_kernel_basis(a: Rows) -> tuple[tuple[int, ...], ...]:
     return hermite_rows(res.u[res.rank :])
 
 
-def solve_left(a: Rows, b: Sequence[int]) -> tuple[int, ...] | None:
-    """An integer solution x of x A = b, or None if none exists.
+def peel_left(h: Rows, u: Rows, b: Sequence[int]) -> tuple[int, ...] | None:
+    """An integer solution x of x A = b, or None, read off a row Hermite form U A = H of A.
 
-    Peels b off the pivots of U A = H from left to right; b = y H, and
-    x = y U, iff nothing is left.  A remainder at a pivot stays in the
-    leftover, since later rows of H vanish in that column.  A matrix with
-    no rows has every width: x = () solves a zero b of any length.
+    Peels b off the pivots of H from left to right; b = y H, and x = y U,
+    iff nothing is left.  A remainder at a pivot stays in the leftover,
+    since later rows of H vanish in that column.  The caller checks that b
+    is as long as the rows of H.
+    """
+    rest = list(b)
+    x = [0] * len(u)
+    for row, t in zip(h, u):
+        c = next((j for j, e in enumerate(row) if e), None)
+        if c is None:
+            break
+        q = rest[c] // row[c]
+        if q:
+            rest = [r - q * e for r, e in zip(rest, row)]
+            x = [s + q * e for s, e in zip(x, t)]
+    return None if any(rest) else tuple(x)
+
+
+def solve_left(a: Rows, b: Sequence[int]) -> tuple[int, ...] | None:
+    """An integer solution x of x A = b, or None if none exists: ``peel_left``
+    on the row Hermite form of A.  A matrix with no rows has every width:
+    x = () solves a zero b of any length.
     """
     if a and len(b) != _width(a):
         raise ValueError("right-hand side has wrong length")
     res = row_hermite_form(a)
-    rest = list(b)
-    y = [0] * len(a)
-    for i, row in enumerate(res.h[: res.rank]):
-        c = next(j for j, x in enumerate(row) if x)
-        y[i] = rest[c] // row[c]
-        rest = [x - y[i] * h for x, h in zip(rest, row)]
-    if any(rest):
-        return None
-    return tuple(mat_mul([y], res.u)[0])
+    return peel_left(res.h, res.u, b)
 
 
 def in_rowspan(a: Rows, b: Sequence[int]) -> bool:

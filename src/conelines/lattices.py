@@ -18,15 +18,20 @@ the first coordinate first and emits each shell in lexicographic order.
 A lattice generates its kernels from its rank, edge list and descent
 levels the first time each is used, as plain functions that unpack a
 vector's coordinates into names: the pairing and the norm as straight-line
-sums over the edges and the diagonal, the mod-2 reduction as one lookup of
-the parities in the residue table, and the descent (``_descent``) as one
-loop nest, ``for x0 ...: ... for x{n-1} ...:``, whose innermost body
-either keeps the vector or counts it by (fiber bit, parities) without
-building it.  A lattice checks its names and edge list once, when it is
-made, so the Gram matrix and every kernel read the same form.  A kernel's
-source holds only names, operators, the checked edge indices and the
-integers that ``_square_completion`` derives from them; its globals are
-the residue table, ``isqrt`` and ``range``.
+sums over the edges and the diagonal (written once, by ``_pairing`` and
+``_half_norm``), the transvection's (v.w, w.w / 2, v + n w) in one pass
+with those sums, a vector's linear coordinates under the translation map
+as one sum each over the map's presentation, the mod-2 reduction as one
+lookup of the parities in the residue table, and the descent
+(``_descent``) as one loop nest, ``for x0 ...: ... for x{n-1} ...:``,
+whose innermost body either keeps the vector or counts it by (fiber bit,
+parities) without building it.  A lattice checks its names and edge list
+once, when it is made, so the Gram matrix and every kernel read the same
+form.  A kernel's source holds only names, operators and integers: the
+checked edge indices, those that ``_square_completion`` derives from
+them and the presentation's; its globals are the residue table, ``isqrt``
+and ``range``.  The presentation's row Hermite form is kept too, so a
+solve for a translation's preimage only peels.
 
 All vectors are plain integer tuples in the fixed basis, so every value in
 this module is hashable and safe to share between threads.  ``pair`` and
@@ -39,7 +44,7 @@ from __future__ import annotations
 import itertools
 import re
 import string
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
@@ -260,7 +265,8 @@ class GeometricLattice:
     Every table derived from it is computed on first use and kept on the
     instance, so it lives and dies with it: the Gram matrix, the
     Fincke-Pohst levels, the mod-2 quotient and its radical, the
-    tritangent census, the translation map's presentation and the kernels.
+    tritangent census, the translation map's presentation and its row
+    Hermite form, and the kernels.
     ``build_lattice.cache_clear()`` drops them from the current lattices.
     """
 
@@ -319,24 +325,47 @@ class GeometricLattice:
     @cached_property
     def _pair_kernel(self) -> Callable[[Vec, Vec], int]:
         """v.w as one straight-line expression: each edge's two products, minus twice the diagonal."""
-        edges = " + ".join(f"x{i} * y{j} + x{j} * y{i}" for i, j in self.edges)
-        diagonal = " + ".join(f"x{i} * y{i}" for i in range(self.rank))
         return _kernel(
             "def kernel(v, w):",
             f"    ({_coordinates('x', self.rank)}) = v",
             f"    ({_coordinates('y', self.rank)}) = w",
-            f"    return {edges or 0} - 2 * ({diagonal or 0})",
+            f"    return {_pairing(self, 'x', 'y')}",
         )
 
     @cached_property
     def _norm_kernel(self) -> Callable[[Vec], int]:
         """v.v as twice the edge products minus twice the squares."""
-        edges = " + ".join(f"x{i} * x{j}" for i, j in self.edges)
-        diagonal = " + ".join(f"x{i} * x{i}" for i in range(self.rank))
         return _kernel(
             "def kernel(v):",
             f"    ({_coordinates('x', self.rank)}) = v",
-            f"    return 2 * ({edges or 0} - ({diagonal or 0}))",
+            f"    return 2 * ({_half_norm(self, 'x')})",
+        )
+
+    @cached_property
+    def _transvection_kernel(self) -> Callable[[Vec, Vec, int], tuple[int, int, Vec]]:
+        """(v.w, w.w / 2, v + line * w) in one pass, with the pairing's and the norm's sums."""
+        moved = "".join(f"x{i} + line * y{i}, " for i in range(self.rank))
+        return _kernel(
+            "def kernel(v, w, line):",
+            f"    ({_coordinates('x', self.rank)}) = v",
+            f"    ({_coordinates('y', self.rank)}) = w",
+            f"    return {_pairing(self, 'x', 'y')}, {_half_norm(self, 'y')}, ({moved})",
+        )
+
+    @cached_property
+    def _translation_kernel(self) -> Callable[[Vec], Vec]:
+        """A vector's linear coordinates under the translation map, one straight-line sum each.
+
+        Coordinate k is sum_j v_j A_jk over the basis images' rows A of the
+        star-0 presentation, whose integers are written into the source.
+        """
+        dim, rows, _ = self._translations
+        images = rows[: self.rank]
+        sums = "".join(f"{_combination(row[k] for row in images)}, " for k in range(dim))
+        return _kernel(
+            "def kernel(v):",
+            f"    ({_coordinates('x', self.rank)}) = v",
+            f"    return ({sums})",
         )
 
     @cached_property
@@ -387,15 +416,20 @@ class GeometricLattice:
         return tuple(classify_root(self, plus) for plus, _ in root_pairs(self))
 
     @cached_property
-    def _translations(self) -> tuple[int, tuple[Vec, ...], SurfaceType, tuple[Vec, ...]]:
+    def _translations(self) -> tuple[int, tuple[Vec, ...], SurfaceType]:
         """The translation map's presentation at star 0: ``_image_matrix``'s
-        (dim, rows), then the surface and per linear coordinate that
-        coordinate of each basis image.  All tuples: no reader can change it."""
+        (dim, rows), then the surface.  All tuples: no reader can change it."""
         from .mapping_class import _image_matrix  # mapping_class builds on this module
 
-        dim, rows = _image_matrix(self, 0)
-        columns = tuple(tuple(row[k] for row in rows[: self.rank]) for k in range(dim))
-        return dim, rows, self.sextic.surface(), columns
+        return (*_image_matrix(self, 0), self.sextic.surface())
+
+    @cached_property
+    def _translation_hermite(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        """The row Hermite form U A = H of the presentation's rows A, as the tuples (H, U)."""
+        from .intlinalg import row_hermite_form  # loaded where a solve first needs it, as the layers are
+
+        form = row_hermite_form(self._translations[1])
+        return tuple(map(tuple, form.h)), tuple(map(tuple, form.u))
 
     @cached_property
     def _square_completion(self) -> tuple[int, tuple]:
@@ -454,6 +488,30 @@ class GeometricLattice:
 def _coordinates(name: str, rank: int) -> str:
     """A vector's coordinates as tuple items: ``x0, x1, `` for rank 2, nothing for rank 0."""
     return "".join(f"{name}{i}, " for i in range(rank))
+
+
+def _pairing(lattice: GeometricLattice, x: str, y: str) -> str:
+    """v.w over the names x0 .. and y0 ..: each edge's two products, minus twice the diagonal."""
+    edges = " + ".join(f"{x}{i} * {y}{j} + {x}{j} * {y}{i}" for i, j in lattice.edges)
+    diagonal = " + ".join(f"{x}{i} * {y}{i}" for i in range(lattice.rank))
+    return f"{edges or 0} - 2 * ({diagonal or 0})"
+
+
+def _half_norm(lattice: GeometricLattice, x: str) -> str:
+    """v.v / 2 over the names x0 ..: the edge products minus the squares (the form is even)."""
+    edges = " + ".join(f"{x}{i} * {x}{j}" for i, j in lattice.edges)
+    diagonal = " + ".join(f"{x}{i} * {x}{i}" for i in range(lattice.rank))
+    return f"{edges or 0} - ({diagonal or 0})"
+
+
+def _combination(coefficients: Iterable[int]) -> str:
+    """sum_j a_j x_j as signed terms, ``x1 - x2 + 2 * x3``; ``0`` if every a_j is."""
+    terms = (
+        f"{'-' if a < 0 else '+'} {f'{abs(a)} * ' if abs(a) != 1 else ''}x{j}"
+        for j, a in enumerate(coefficients)
+        if a
+    )
+    return " ".join(terms).removeprefix("+ ") or "0"
 
 
 def _parities(rank: int) -> str:

@@ -26,11 +26,16 @@ Translating along a section moves every fiber by an element of the
 vanishing-cycle lattice; ``translation_class`` is the resulting
 homomorphism from the lattice into the mapping class group.  Its one
 presentation, ``_image_matrix``, is kept on the lattice as its
-``_translations`` table.  ``translation_class`` and ``translation_analysis``
-(kernel, image and cokernel) read it, and so does ``_translation_preimage``,
-one solve for membership and for split-twist preimages alike.
-``translation_class`` is a hot path: it checks the vector's length and
-trusts its entries to be integers.
+``_translations`` table, and everything else reads it:
+``translation_analysis`` (kernel, image and cokernel) directly;
+``translation_class`` through the lattice's ``_translation_kernel``, one
+straight-line sum per linear coordinate generated from the presentation's
+rows; and ``_translation_preimage``, one solve for membership and for
+split-twist preimages alike, through the presentation's Hermite form,
+kept on the lattice as ``_translation_hermite``, against which each solve
+only peels (``intlinalg.peel_left``).  ``translation_class`` is a hot
+path: it checks the vector's length and trusts its entries to be
+integers.
 """
 
 from __future__ import annotations
@@ -39,14 +44,14 @@ from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import add, mul
+from operator import add
 
 from .intlinalg import (
     GroupInvariants,
     hermite_rows,
     left_kernel_basis,
+    peel_left,
     quotient_invariants,
-    solve_left,
 )
 from .lattices import (
     GeometricLattice,
@@ -395,12 +400,12 @@ def translation_class(lattice: GeometricLattice, v: Vec) -> ModSElement:
     """Mapping class of the fiberwise translation attached to a lattice vector.
 
     The sum of the basis images' linear coordinates weighted by v, which
-    is the product of powers of the basis images.
+    is the product of powers of the basis images; the lattice's translation
+    kernel spells the sums out.
     """
     if len(v) != lattice.rank:
         raise ValueError("vector length differs from lattice rank")
-    _, _, surface, columns = lattice._translations
-    return from_linear_coordinates(surface, [sum(map(mul, v, col)) for col in columns])
+    return from_linear_coordinates(lattice._translations[2], lattice._translation_kernel(v))
 
 
 @dataclass(frozen=True)
@@ -428,9 +433,10 @@ def translation_analysis(lattice: GeometricLattice, star: int = 0) -> Translatio
 
 
 def _translation_preimage(lattice: GeometricLattice, g: ModSElement) -> Vec | None:
-    """A lattice vector whose translation is g, or None: one solve of g's
-    coordinates against the presentation's rows, cut to the basis images."""
-    sol = solve_left(lattice._translations[1], linear_coordinates(g))
+    """A lattice vector whose translation is g, or None: g's coordinates
+    peeled against the presentation's kept Hermite form, the solution cut
+    to the basis images."""
+    sol = peel_left(*lattice._translation_hermite, linear_coordinates(g))
     return None if sol is None else sol[: lattice.rank]
 
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, mul
 
 from .lattices import (
     GeometricLattice,
@@ -33,18 +31,14 @@ from .mod2 import Bits, Mod2Vector, mod2_pair, q0, radical_elements, reduce_mod2
 def mw_act_h2(lattice: GeometricLattice, w: Vec, x: H2ClassX) -> H2ClassX:
     """Transvection by a lattice vector on the fiber/vanishing/section frame.
 
-    The lengths are checked once, here, and the lattice's pairing and norm
-    kernels are called directly.
+    The lengths are checked once, here; the lattice's transvection kernel
+    returns v.w, k and v + nw in one pass.
     """
     n, v, line = lattice.rank, x.lattice_part, x.line
     if len(v) != n or len(w) != n:
         raise ValueError(f"coordinate length mismatch: rank {n}, got {len(v)} and {len(w)}")
-    k = lattice._norm_kernel(w) // 2
-    return H2ClassX(
-        x.canon + lattice._pair_kernel(v, w) + k * line,
-        tuple(map(add, v, map(mul, repeat(line), w))),
-        line,
-    )
+    vw, k, moved = lattice._transvection_kernel(v, w, line)
+    return H2ClassX(x.canon + vw + k * line, moved, line)
 
 
 def coset_representative(x: Mod2Vector) -> Mod2Vector:

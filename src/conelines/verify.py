@@ -17,7 +17,8 @@ Frozen values come from two kinds of sources: published census tables
 previously computed-then-frozen outputs such as the kernel generators of
 the translation homomorphism.  Property checks (group laws, pairing
 preservation) consume a seeded generator so that reports are
-reproducible byte for byte.
+reproducible byte for byte; every draw goes through ``_draws``, which
+gives the stream ``randrange`` gives.
 """
 
 from __future__ import annotations
@@ -410,34 +411,49 @@ def _criterion_5(rng: random.Random) -> Iterator[CheckResult]:
     yield _eq("5.swap-choice-invariance K+K", rows[0], rows[1])
 
 
+def _draws(rng: random.Random, lo: int, hi: int, count: int) -> tuple[int, ...]:
+    """``count`` draws of ``rng.randrange(lo, hi)``, the same stream, without its per-call checks.
+
+    Each is lo plus the first ``getrandbits(k)`` below hi - lo, with
+    k = (hi - lo).bit_length(): the rejection loop that ``randrange`` runs
+    on CPython 3.10 to 3.13.
+    """
+    n = hi - lo
+    k = n.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(lo + r)
+    return tuple(out)
+
+
 def _random_element(rng: random.Random, surface: SurfaceType) -> ModSElement:
     if surface.double_klein:
-        return mods_element(surface, swap=rng.randrange(2), shift=rng.randrange(2))
+        swap, shift = _draws(rng, 0, 2, 2)
+        return mods_element(surface, swap=swap, shift=shift)
     p = surface.handles
     if p == 0:
-        return mods_element(surface, fiber_twists=(rng.randrange(-3, 4),))
-    return mods_element(
-        surface,
-        tuple(rng.randrange(-2, 3) for _ in range(p)),
-        tuple(rng.randrange(-3, 4) for _ in range(p)),
-        tuple(rng.randrange(-3, 4) for _ in range(p)),
-    )
+        return mods_element(surface, fiber_twists=_draws(rng, -3, 4, 1))
+    return mods_element(surface, _draws(rng, -2, 3, p), _draws(rng, -3, 4, p), _draws(rng, -3, 4, p))
 
 
 def _random_delta(rng: random.Random, p: int) -> H1Delta:
     """A section difference on p handles: handle-cycle coefficients in [-4, 4], bits elsewhere."""
-    return H1Delta(
-        rng.randrange(2), tuple((rng.randrange(-4, 5), rng.randrange(2)) for _ in range(p))
-    )
+    (bit,) = _draws(rng, 0, 2, 1)
+    # Each handle draws its coefficient, then its bit.
+    pairs = tuple((*_draws(rng, -4, 5, 1), *_draws(rng, 0, 2, 1)) for _ in range(p))
+    return H1Delta(bit, pairs)
 
 
 def _random_h2(rng: random.Random, n: int, canon: int, part: int, line: int) -> H2ClassX:
     """A class on a rank-n lattice, each coefficient drawn from [-bound, bound] for its bound."""
-    return H2ClassX(
-        rng.randrange(-canon, canon + 1),
-        tuple(rng.randrange(-part, part + 1) for _ in range(n)),
-        rng.randrange(-line, line + 1),
-    )
+    (m,) = _draws(rng, -canon, canon + 1, 1)
+    v = _draws(rng, -part, part + 1, n)
+    (k,) = _draws(rng, -line, line + 1, 1)
+    return H2ClassX(m, v, k)
 
 
 def _criterion_6(rng: random.Random) -> Iterator[CheckResult]:
@@ -448,8 +464,8 @@ def _criterion_6(rng: random.Random) -> Iterator[CheckResult]:
         surface = sextic.surface()
         additive = True
         for _ in range(1000):
-            v = tuple(rng.randrange(-4, 5) for _ in range(lattice.rank))
-            w = tuple(rng.randrange(-4, 5) for _ in range(lattice.rank))
+            v = _draws(rng, -4, 5, lattice.rank)
+            w = _draws(rng, -4, 5, lattice.rank)
             lhs = translation_class(lattice, vadd(v, w))
             rhs = mods_mul(translation_class(lattice, v), translation_class(lattice, w))
             if lhs != rhs:
@@ -546,7 +562,7 @@ def _criterion_8(rng: random.Random) -> Iterator[CheckResult]:
     for lattice in lattices:
         n = lattice.rank
         for _ in range(200):
-            w = tuple(rng.randrange(-3, 4) for _ in range(n))
+            w = _draws(rng, -3, 4, n)
             a, b = _random_h2(rng, n, 5, 3, 2), _random_h2(rng, n, 5, 3, 2)
             if pairing_x(lattice, mw_act_h2(lattice, w, a), mw_act_h2(lattice, w, b)) != pairing_x(
                 lattice, a, b
@@ -633,9 +649,9 @@ def _criterion_9(rng: random.Random) -> Iterator[CheckResult]:
 
     spot_ok = True
     for _ in range(200):
-        kappa = tuple(rng.randrange(2) for _ in range(4))
-        n = tuple(rng.randrange(-2, 3) for _ in range(4))
-        m = tuple(rng.randrange(-2, 3) for _ in range(4))
+        kappa = _draws(rng, 0, 2, 4)
+        n = _draws(rng, -2, 3, 4)
+        m = _draws(rng, -2, 3, 4)
         g = mods_element(surface, kappa, n, m)
         d = section_delta(g)
         predicted = d.fiber_bit == obstruction_kappa(

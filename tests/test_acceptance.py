@@ -129,6 +129,29 @@ def test_each_family_draws_a_pinned_share_of_its_rng(families, number):
     assert after == RNG_AFTER_FAMILY[number]
 
 
+def test_every_draw_of_verify_is_the_randrange_stream(monkeypatch):
+    """Every (lo, hi, count) that the families draw gives what ``randrange``
+    gives, draw for draw, and leaves the rng in the same state; ``verify``
+    calls ``randrange`` nowhere."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    assert "randrange" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    drawn, draws = set(), verify._draws
+
+    def recorded(rng, lo, hi, count):
+        drawn.add((lo, hi, count))
+        return draws(rng, lo, hi, count)
+
+    monkeypatch.setattr(verify, "_draws", recorded)
+    for number in verify._CRITERIA:
+        list(verify._CRITERIA[number](random.Random(number)))
+    assert {(-4, 5, 8), (-4, 5, 0), (0, 2, 2), (-5, 6, 1), (-3, 4, 1)} <= drawn
+    for lo, hi, count in sorted(drawn):
+        ours, theirs = random.Random(f"{lo} {hi} {count}"), random.Random(f"{lo} {hi} {count}")
+        for _ in range(50):
+            assert draws(ours, lo, hi, count) == tuple(theirs.randrange(lo, hi) for _ in range(count))
+            assert ours.getstate() == theirs.getstate()
+
+
 def test_criterion_09_checks_d6_against_the_librarys_realizability_rule(monkeypatch):
     """A rule that forces the fiber bit on every type is caught on D6, whose
     radical carries odd q0 values, so its fiber bit is free."""

@@ -364,7 +364,7 @@ for lattice, quotient in zip(lattices, residues):
         assert pair(lattice, x.bits, x.bits) % 2 == 0
         assert reduce_mod2(lattice, x.bits) is x
         q0(x), coset_representative(x)
-    lattice._radical, lattice._tritangents, lattice._translations
+    lattice._radical, lattice._tritangents, lattice._translations, lattice._translation_hermite
     for kernel in _KERNELS:
         getattr(lattice, kernel)
     assert _KERNELS <= set(vars(lattice)), sorted(_KERNELS - set(vars(lattice)))
@@ -385,7 +385,7 @@ for old, new in zip(loaded, fresh, strict=True):
     # No kernel travels; each is generated again on first use.
     assert not _KERNELS & set(vars(old)), sorted(_KERNELS & set(vars(old)))
     # The derived tables travel, and equal the ones a fresh lattice builds.
-    for table in ("_radical", "_tritangents", "_translations"):
+    for table in ("_radical", "_tritangents", "_translations", "_translation_hermite"):
         assert table in vars(old) and getattr(old, table) == getattr(new, table), (new.sextic, table)
 for quotient, new in zip(loaded_residues, fresh, strict=True):
     for old, interned in zip(quotient, all_residues(new), strict=True):
@@ -416,7 +416,15 @@ def test_a_pickled_lattice_keeps_its_hash_under_another_hash_seed():
     # The kernels are the tables named ``*_kernel``: every generated function.
     from conelines import lattices
 
-    assert lattices._KERNELS == {"_pair_kernel", "_norm_kernel", "_residue_kernel", "_shell_kernel", "_count_kernel"}
+    assert lattices._KERNELS == {
+        "_pair_kernel",
+        "_norm_kernel",
+        "_transvection_kernel",
+        "_translation_kernel",
+        "_residue_kernel",
+        "_shell_kernel",
+        "_count_kernel",
+    }
     assert child(_LOAD_ALL, "2", child(_PICKLE_ALL, "1")) == b"ok\n"
 
 
@@ -603,6 +611,24 @@ def test_a_descent_source_holds_only_integer_literals_and_known_names(lattice):
             assert known.fullmatch(token.string) or keyword.iskeyword(token.string), token
 
 
+@EVERY_LATTICE
+@pytest.mark.parametrize("kernel", ["_pair_kernel", "_norm_kernel", "_transvection_kernel", "_translation_kernel"])
+def test_a_straight_line_kernel_source_holds_only_integer_literals_and_known_names(monkeypatch, lattice, kernel):
+    # The translation kernel writes the presentation's integers into its
+    # source, the others the checked edge indices: read each source as it
+    # is handed to ``_kernel``, on a copy that keeps none of it.
+    from conelines import lattices
+
+    monkeypatch.setattr(lattices, "_kernel", lambda *lines, **tables: "\n".join(lines))
+    source = getattr(dataclasses.replace(lattice), kernel)
+    known = re.compile(r"kernel|v|w|line|[xy][0-9]+")
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NUMBER:
+            assert re.fullmatch(r"0|[1-9][0-9]*", token.string), token
+        elif token.type == tokenize.NAME:
+            assert known.fullmatch(token.string) or keyword.iskeyword(token.string), token
+
+
 def test_a_lattice_copy_is_equal_and_hashes_alike(e8):
     copy = dataclasses.replace(e8)
     assert copy == e8 and copy is not e8 and hash(copy) == hash(e8)
@@ -618,8 +644,11 @@ def test_cache_clear_drops_every_kept_table_and_rebuilds_it_alike():
     pair(e8, e8.basis_vector(0), e8.basis_vector(0))
     kept = {name: getattr(e8, name) for name in lattices._TABLES if name not in lattices._KERNELS}
     assert build_lattice.cache_info().misses >= len(lattices._TABLES)
+    # The presentation's Hermite form (H, U) is kept as tuples, like the presentation.
+    assert all(type(m) is tuple and all(type(row) is tuple for row in m) for m in kept["_translation_hermite"])
     build_lattice.cache_clear()
     assert build_lattice.cache_info() == (0, 0)
     assert not set(vars(e8)) & set(lattices._TABLES)
+    assert "_translation_hermite" not in vars(e8)
     assert build_lattice(e8.sextic) is e8
     assert {name: getattr(e8, name) for name in kept} == kept

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conelines.homology_action import split_twist_preimage
-from conelines.intlinalg import quotient_invariants
+from conelines.intlinalg import quotient_invariants, row_hermite_form, solve_left
 from conelines.lattices import (
     SexticType,
     SurfaceType,
@@ -45,7 +45,15 @@ from conelines.mapping_class import (
     translation_class,
 )
 from conelines.verify import FROZEN
-from conftest import HANDLE_KEYS, TYPE_KEYS, assert_rejected, lattice_and_vectors, lattice_for
+from conftest import (
+    FAULTED_IDS,
+    HANDLE_KEYS,
+    TYPE_KEYS,
+    assert_rejected,
+    lattice_and_vectors,
+    lattice_for,
+    lattices_and_a_faulted_e8,
+)
 
 SURFACES = tuple(SexticType.from_key(k).surface() for k in TYPE_KEYS)
 
@@ -381,9 +389,10 @@ def test_relators_present_the_generator_presentation(key):
 def test_the_cached_presentation_is_tuples_no_reader_changes(key, star):
     # Only the star-0 presentation is kept on the lattice; star 1 is built
     # on each request, so its analysis is one more reader here.
+    # The presentation's Hermite form (H, U) is kept next to it, as tuples too.
     lattice = lattice_for(key)
-    _, rows, _, columns = lattice._translations
-    for table in (rows, columns):
+    _, rows, _ = lattice._translations
+    for table in (rows, *lattice._translation_hermite):
         assert isinstance(table, tuple) and all(isinstance(entry, tuple) for entry in table)
     translation_analysis(lattice, star)
     assert is_translation_class(translation_class(lattice, (1,) * lattice.rank))
@@ -392,6 +401,43 @@ def test_the_cached_presentation_is_tuples_no_reader_changes(key, star):
     fresh = dataclasses.replace(lattice)
     assert lattice._translations == fresh._translations
     assert lattice._translations[:2] == _image_matrix(fresh, 0)
+    form = row_hermite_form(rows)
+    kept = (tuple(map(tuple, form.h)), tuple(map(tuple, form.u)))
+    assert lattice._translation_hermite == fresh._translation_hermite == kept
+
+
+def _grid(lattice, bound: int, count: int) -> list[tuple[int, ...]]:
+    """The basis vectors, their negatives, then ``count`` seeded vectors with entries in [-bound, bound]."""
+    rng = random.Random(f"grid {lattice.sextic} {len(lattice.edges)}")
+    basis = [lattice.basis_vector(i) for i in range(lattice.rank)]
+    drawn = [tuple(rng.randint(-bound, bound) for _ in range(lattice.rank)) for _ in range(count)]
+    return [(0,) * lattice.rank, *basis, *(smul(-1, v) for v in basis), *drawn]
+
+
+@pytest.mark.parametrize("lattice", lattices_and_a_faulted_e8(), ids=FAULTED_IDS)
+def test_the_translation_kernel_sums_the_presentation_rows(lattice):
+    # The reference: per linear coordinate, that coordinate of each basis
+    # image in the presentation, weighted by v and summed.
+    dim, rows, surface = lattice._translations
+    columns = [[row[k] for row in rows[: lattice.rank]] for k in range(dim)]
+    for v in _grid(lattice, 5, 300):
+        old = [sum(a * x for a, x in zip(column, v)) for column in columns]
+        assert lattice._translation_kernel(v) == tuple(old)
+        assert translation_class(lattice, v) == from_linear_coordinates(surface, old)
+
+
+@pytest.mark.parametrize("lattice", lattices_and_a_faulted_e8(), ids=FAULTED_IDS)
+def test_the_kept_hermite_form_solves_as_solve_left_does(lattice):
+    # Every image, and each image plus a unit coordinate row, which leaves
+    # the image where the cokernel is not trivial: the kept form's peel
+    # against a solve that builds its Hermite form afresh.
+    dim, rows, surface = lattice._translations
+    units = [unit_vec(dim, k) for k in range(dim)]
+    for v in _grid(lattice, 3, 60):
+        coords = linear_coordinates(translation_class(lattice, v))
+        for g in (from_linear_coordinates(surface, vadd(coords, e)) for e in [(0,) * dim, *units]):
+            fresh = solve_left(rows, linear_coordinates(g))
+            assert _translation_preimage(lattice, g) == (None if fresh is None else fresh[: lattice.rank])
 
 
 @pytest.mark.parametrize("key", [k for k in TYPE_KEYS if k != "|||"])

@@ -1,5 +1,6 @@
 """The unipotent action on homology and its mod-2 shadow."""
 
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,10 @@ from conelines.lattices import (
     base_line_class_x,
     fiber_class_x,
     line_class_on_X,
+    norm,
+    pair,
     pairing_x,
+    smul,
     vadd,
     vectors_with_norm_at_least,
 )
@@ -248,6 +252,19 @@ def test_scan_realizability_rejects_a_bad_type_with_a_usage_message(key):
     assert done.returncode == 2, done.stderr
     assert "usage:" in done.stderr and "sextic type" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("lattice", lattices_and_a_faulted_e8(), ids=FAULTED_IDS)
+def test_the_transvection_kernel_moves_a_class_as_pair_norm_and_vadd_do(lattice):
+    # The reference, term by term from pair, norm and vadd: (m + v.w + (w.w / 2) n, v + n w, n).
+    rng = random.Random(f"transvection {lattice.sextic} {len(lattice.edges)}")
+    n = lattice.rank
+    for _ in range(300):
+        w = tuple(rng.randint(-5, 5) for _ in range(n))
+        x = H2ClassX(rng.randint(-9, 9), tuple(rng.randint(-5, 5) for _ in range(n)), rng.randint(-3, 3))
+        moved = vadd(x.lattice_part, smul(x.line, w))
+        old = H2ClassX(x.canon + pair(lattice, x.lattice_part, w) + norm(lattice, w) // 2 * x.line, moved, x.line)
+        assert mw_act_h2(lattice, w, x) == old
 
 
 # Theta series of the negated lattices, as integer coefficient lists in
